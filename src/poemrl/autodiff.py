@@ -4,11 +4,21 @@ A small tape: every op returns a `Tensor` holding its value and a closure
 that routes the output gradient to its parents. `Tensor.backward()` walks
 the graph once in reverse topological order. Only the ops needed by the
 policy-gradient losses are implemented; everything is double precision.
+
+Three fused ops cover the hot path of a minibatch with one node each:
+`linear` (matmul plus bias), `diag_gaussian_logp` and `clipped_surrogate`.
+Each hand-written backward repeats the floating-point operations of the
+elementwise composition it replaces, in the same order, so fused and
+unfused graphs give bit-identical values and gradients.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 class NumericalError(RuntimeError):
@@ -292,3 +302,69 @@ def logsumexp_rows(a) -> Tensor:
     m = a.data.max(axis=1, keepdims=True)  # constant shift, exact gradient anyway
     shifted = add(a, constant(-m))
     return add(log(tsum(exp(shifted), axis=1, keepdims=True)), constant(m))
+
+
+# ---- fused ops ------------------------------------------------------------
+
+
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b. A plain-array `x` is an input and gets no gradient."""
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    parents = (x, w, b) if isinstance(x, Tensor) else (w, b)
+    out = Tensor(xd @ w.data + b.data, parents)
+
+    def backward(g):
+        b._accum(_unbroadcast(g, b.data.shape))
+        if isinstance(x, Tensor):
+            x._accum(g @ w.data.T)
+        w._accum(xd.T @ g)
+
+    out._backward = backward
+    return out
+
+
+def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Tensor:
+    """Per-row log N(actions | mean, diag(exp(log_std))^2), shape (n,).
+
+    `mean` is (n, d) and `log_std` is (d,), already clipped if it should be.
+    """
+    std = np.exp(log_std.data)
+    diff = actions - mean.data
+    z = diff / std
+    d = log_std.data.size
+    out = Tensor(
+        (z * z).sum(axis=1) * -0.5 + (log_std.data.sum() * -1.0 + (-0.5 * LOG_2PI * d)),
+        (mean, log_std),
+    )
+
+    def backward(g):
+        g_z = (g * -0.5)[:, None] * 2.0 * z
+        g_std = (-g_z * diff / (std * std)).sum(axis=0)
+        log_std._accum(g_std * std + g.sum() * -1.0)
+        mean._accum(g_z / std * -1.0)
+
+    out._backward = backward
+    return out
+
+
+def clipped_surrogate(logp: Tensor, logp_old: np.ndarray, adv: np.ndarray, clip_epsilon: float) -> Tensor:
+    """PPO's -mean(min(r * adv, clip(r, 1 - eps, 1 + eps) * adv)), where
+    r = exp(logp - logp_old). On ties the gradient goes to the unclipped
+    branch, as in `minimum`; outside the clip interval the clipped branch
+    passes none."""
+    lo, hi = 1.0 - clip_epsilon, 1.0 + clip_epsilon
+    ratio = np.exp(logp.data - logp_old)
+    inside = (ratio >= lo) & (ratio <= hi)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, lo, hi) * adv
+    take_unclipped = unclipped <= clipped
+    scale = 1.0 / ratio.size
+    out = Tensor(np.where(take_unclipped, unclipped, clipped).sum() * scale * -1.0, (logp,))
+
+    def backward(g):
+        g_min = g * -1.0 * scale
+        g_ratio = g_min * take_unclipped * adv + g_min * ~take_unclipped * adv * inside
+        logp._accum(g_ratio * ratio)
+
+    out._backward = backward
+    return out

@@ -26,6 +26,8 @@ from .policy import ActorCritic, CategoricalHead, DiagGaussianHead
 from .stats import EvalReport
 
 CHECKPOINT_MAGIC = b"PRLCKPT1"
+CHECKPOINT_KEYS = ("env_id", "algo", "obs_dim", "hidden_sizes", "head_kind", "head_dim")
+HEAD_KINDS = ("diag_gaussian", "categorical")
 
 METRICS_COLUMNS = [
     "update", "global_step", "minibatch_idx",
@@ -124,15 +126,21 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCritic, dict]:
         raise ValueError(f"{path}: corrupt checkpoint header: {err}") from None
     off += hlen
 
-    if header.get("head_kind") == "diag_gaussian":
-        head = DiagGaussianHead(int(header["head_dim"]))
-    else:
-        head = CategoricalHead(int(header["head_dim"]))
-    ac = ActorCritic.create(
-        int(header["obs_dim"]), head, tuple(int(h) for h in header["hidden_sizes"]), seed=0,
-        obs_scale=header.get("obs_scale"),
-    )
-    params = nn.params_from_bytes(raw[off:], ac.params.layout)
+    missing = [k for k in CHECKPOINT_KEYS if k not in header] if isinstance(header, dict) else CHECKPOINT_KEYS
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    if header["head_kind"] not in HEAD_KINDS:
+        raise ValueError(f"{path}: unknown head_kind {header['head_kind']!r}, expected one of {HEAD_KINDS}")
+    head_cls = DiagGaussianHead if header["head_kind"] == "diag_gaussian" else CategoricalHead
+    try:
+        head = head_cls(int(header["head_dim"]))
+        ac = ActorCritic.create(
+            int(header["obs_dim"]), head, tuple(int(h) for h in header["hidden_sizes"]), seed=0,
+            obs_scale=header.get("obs_scale"),
+        )
+        params = nn.params_from_bytes(raw[off:], ac.params.layout)
+    except (TypeError, ValueError) as err:  # a value of the wrong type, or a size that does not fit
+        raise ValueError(f"{path}: bad checkpoint: {err}") from None
     return ac.with_params(params.data), header
 
 

@@ -185,11 +185,11 @@ def make_leaves(params: ParamVector) -> dict[str, Tensor]:
 
 
 def forward_batch_t(spec: MlpSpec, leaves: dict[str, Tensor], x: np.ndarray, prefix: str = "") -> Tensor:
-    """Tape version of forward_batch, differentiable in the leaves."""
-    h: Tensor = ad.constant(np.asarray(x, dtype=np.float64))
+    """Tape version of forward_batch, differentiable in the leaves (not in x)."""
+    h = np.asarray(x, dtype=np.float64)
     last = spec.n_layers - 1
     for i in range(spec.n_layers):
-        h = ad.add(ad.matmul(h, leaves[f"{prefix}w{i}"]), leaves[f"{prefix}b{i}"])
+        h = ad.linear(h, leaves[f"{prefix}w{i}"], leaves[f"{prefix}b{i}"])
         if i != last:
             h = ad.tanh(h)
     return h

@@ -17,12 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import NumericalError, Tensor
+from .autodiff import LOG_2PI, NumericalError, Tensor
 from .nn import LayoutEntry, MlpSpec, ParamVector
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
-LOG_2PI = math.log(2.0 * math.pi)
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
@@ -237,7 +236,8 @@ def logp_batch(
 def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
     """Mean per-state policy entropy over a batch of observations."""
     if isinstance(ac.head, DiagGaussianHead):
-        return float((GAUSSIAN_ENTROPY_CONST + _log_std_of(ac, None)).sum())
+        # summed as policy_graph does, so the two agree bit for bit
+        return float(_log_std_of(ac, None).sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
     logits = nn.forward_batch(ac.actor_spec, _actor_views(ac, None), _features(ac, obs))
     probs = _softmax_rows(logits)
     logp = np.log(np.maximum(probs, 1e-300))
@@ -247,32 +247,15 @@ def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
 # ---- tape paths (differentiable, for the update step) --------------------
 
 
-def policy_const_leaves(ac: ActorCritic, policy_params: np.ndarray) -> dict[str, Tensor]:
-    """Tape constants for a replacement actor+log_std slice (no gradients)."""
-    flat = np.asarray(policy_params, dtype=np.float64)
-    leaves = {
-        f"actor.{e.name}": ad.constant(flat[e.offset : e.offset + e.size].reshape(e.shape))
-        for e in nn.mlp_layout(ac.actor_spec)
-    }
-    if ac.n_log_std:
-        leaves["log_std"] = ad.constant(flat[ac.actor_spec.n_params : ac.n_policy])
-    return leaves
-
-
 def policy_graph(
     ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray, actions: np.ndarray
 ) -> tuple[Tensor, Tensor]:
     """Build (per-sample log-prob (n,), mean entropy scalar) on the tape."""
     out = nn.forward_batch_t(ac.actor_spec, leaves, _features(ac, obs), prefix="actor.")
     if isinstance(ac.head, DiagGaussianHead):
-        d = ac.head.action_dim
         log_std = ad.clip(leaves["log_std"], LOG_STD_MIN, LOG_STD_MAX)
-        z = ad.div(ad.add(ad.constant(actions), ad.mul(out, -1.0)), ad.exp(log_std))
-        logp = ad.add(
-            ad.mul(ad.tsum(ad.square(z), axis=1), -0.5),
-            ad.add(ad.mul(ad.tsum(log_std), -1.0), ad.constant(-0.5 * LOG_2PI * d)),
-        )
-        ent = ad.add(ad.tsum(log_std), ad.constant(GAUSSIAN_ENTROPY_CONST * d))
+        logp = ad.diag_gaussian_logp(out, log_std, actions)
+        ent = ad.add(ad.tsum(log_std), ad.constant(GAUSSIAN_ENTROPY_CONST * ac.head.action_dim))
         return logp, ent
     log_all = ad.add(out, ad.mul(ad.logsumexp_rows(out), -1.0))
     logp = ad.gather_rows(log_all, actions)

@@ -4,6 +4,11 @@ The loss graph optionally includes a diversity term -lambda_div * D_KL
 against a reference policy; with lambda_div = 0 that term is skipped
 entirely, so the plain update is bit-identical whether it is invoked
 directly or through the mutation-augmented loop built on top of it.
+
+The composite loss has two paths: `loss_graph` builds it on the tape for
+the one backward pass per minibatch, and `evaluate_loss` computes the same
+values in plain numpy for scoring. Both take means as the tape does (sum
+times 1/n) and add the terms in the same order.
 """
 
 from __future__ import annotations
@@ -62,6 +67,11 @@ class LossBreakdown:
     l_total: float
 
 
+def _mean(x: np.ndarray) -> float:
+    """Mean as `ad.tmean` computes it: the sum times 1/n."""
+    return float(x.sum() * (1.0 / x.size))
+
+
 def clipped_surrogate(logp_new, logp_old, adv, clip_epsilon: float) -> float:
     """-mean(min(ratio*adv, clip(ratio)*adv)); lower is better."""
     logp_new = np.asarray(logp_new, dtype=np.float64)
@@ -71,7 +81,7 @@ def clipped_surrogate(logp_new, logp_old, adv, clip_epsilon: float) -> float:
         raise ValueError("logp_new, logp_old, adv must have equal nonzero lengths")
     ratio = np.exp(logp_new - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon)
-    return float(-np.mean(np.minimum(ratio * adv, clipped * adv)))
+    return -_mean(np.minimum(ratio * adv, clipped * adv))
 
 
 def value_loss(values_new, returns) -> float:
@@ -80,7 +90,7 @@ def value_loss(values_new, returns) -> float:
     if values_new.shape != returns.shape:
         raise ValueError("values and returns must have equal lengths")
     d = values_new - returns
-    return float(np.mean(d * d))
+    return _mean(d * d)
 
 
 def minibatch_plan(
@@ -110,22 +120,16 @@ def loss_graph(
     still reported.
     """
     logp_t, ent_t = pol.policy_graph(ac, leaves, mb.obs, mb.actions)
-    ratio = ad.exp(ad.add(logp_t, ad.constant(-mb.log_probs_old)))
-    adv = ad.constant(mb.advantages)
-    surrogate = ad.minimum(
-        ad.mul(ratio, adv),
-        ad.mul(ad.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon), adv),
-    )
-    l_ppo_t = ad.mul(ad.tmean(surrogate), -1.0)
+    l_ppo_t = ad.clipped_surrogate(logp_t, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
     loss = l_ppo_t
 
     kl_val = 0.0
     if lambda_div != 0.0:
         if ema_policy_params is None:
             raise ValueError("lambda_div != 0 requires reference policy parameters")
-        ema_leaves = pol.policy_const_leaves(ac, ema_policy_params)
-        ema_logp_t, _ = pol.policy_graph(ac, ema_leaves, mb.obs, mb.actions)
-        kl_t = ad.tmean(ad.add(logp_t, ad.mul(ema_logp_t, -1.0)))
+        # the reference policy is a constant: its log-probs stay off the tape
+        ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params)
+        kl_t = ad.tmean(ad.add(logp_t, ad.constant(-ema_logp)))
         loss = ad.add(loss, ad.mul(kl_t, -lambda_div))
         kl_val = float(kl_t.data)
 
@@ -158,10 +162,29 @@ def evaluate_loss(
     lambda_div: float = 0.0,
     ema_policy_params: np.ndarray | None = None,
 ) -> LossBreakdown:
-    """Loss values only (no backward pass)."""
-    leaves = nn.make_leaves(ac.params)
-    _, breakdown = loss_graph(ac, leaves, mb, cfg, lambda_div, ema_policy_params)
-    return breakdown
+    """Loss values only: the numpy value path, used to score mutation
+    candidates. `loss_graph` is the gradient path; this adds the same terms
+    in the same order, so for a Gaussian head the two agree bit for bit
+    (a categorical head's log-softmax rounds differently, within 1e-12)."""
+    logp = pol.logp_batch(ac, mb.obs, mb.actions)
+    l_ppo = clipped_surrogate(logp, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
+    loss = l_ppo
+
+    kl_val = 0.0
+    if lambda_div != 0.0:
+        if ema_policy_params is None:
+            raise ValueError("lambda_div != 0 requires reference policy parameters")
+        kl_val = _mean(logp - pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params))
+        loss = loss + kl_val * -lambda_div
+
+    l_vf = value_loss(pol.values_batch(ac, mb.obs), mb.returns)
+    if cfg.alpha_vf != 0.0:
+        loss = loss + l_vf * cfg.alpha_vf
+
+    ent = pol.entropy_mean(ac, mb.obs)
+    if cfg.alpha_ent != 0.0:
+        loss = loss + ent * -cfg.alpha_ent
+    return LossBreakdown(l_ppo=l_ppo, l_vf=l_vf, entropy=ent, kl_div=kl_val, l_total=loss)
 
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:

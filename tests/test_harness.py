@@ -2,6 +2,8 @@
 tune, and the CLI wiring."""
 
 import csv
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -68,6 +70,61 @@ class TestCheckpoints:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Re-write a checkpoint with `edit(header)` applied to its JSON header."""
+    raw = path.read_bytes()
+    off = len(harness.CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack_from("<I", raw, off)
+    header = json.loads(raw[off + 4 : off + 4 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(harness.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + raw[off + 4 + hlen :])
+
+
+class TestCheckpointHeader:
+    def _checkpoint(self, tmp_path):
+        ac = harness.build_actor_critic(make_env("mountain_car_continuous"), (4,), param_seed=0)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, ac, "mountain_car_continuous", "ppo")
+        return path
+
+    def _evaluate_error(self, path, capsys) -> str:
+        rc = cli.main(["evaluate", str(path), "--episodes", "1", "--out", str(path.parent / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("key", ["env_id", "algo", "obs_dim", "hidden_sizes", "head_kind", "head_dim"])
+    def test_missing_key_is_a_one_line_error(self, tmp_path, capsys, key):
+        path = self._checkpoint(tmp_path)
+        rewrite_header(path, lambda h: h.pop(key))
+        err = self._evaluate_error(path, capsys)
+        assert str(path) in err and key in err
+
+    def test_unknown_head_kind_is_a_one_line_error(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path)
+        rewrite_header(path, lambda h: h.update(head_kind="beta"))
+        with pytest.raises(ValueError, match="unknown head_kind 'beta'"):
+            load_checkpoint(path)
+        err = self._evaluate_error(path, capsys)
+        assert str(path) in err and "head_kind" in err
+
+    @pytest.mark.parametrize("key,value", [("head_dim", None), ("obs_dim", "two"), ("hidden_sizes", 4)])
+    def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, key, value):
+        path = self._checkpoint(tmp_path)
+        rewrite_header(path, lambda h: h.update({key: value}))
+        err = self._evaluate_error(path, capsys)
+        assert str(path) in err
+
+    def test_header_that_is_not_an_object_is_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        blob = b"[1, 2]"
+        path.write_bytes(harness.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(ValueError, match="lacks env_id"):
             load_checkpoint(path)
 
 

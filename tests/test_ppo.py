@@ -131,6 +131,38 @@ class TestLossGraph:
             assert max_rel_err(analytic, fd) <= 1e-5
 
 
+class TestValuePathMatchesTape:
+    """`evaluate_loss` (numpy) and `loss_graph` (tape) compute the same loss."""
+
+    def _pairs(self, make, rng, n_nets=100):
+        for k in range(n_nets):
+            obs_dim = int(rng.integers(1, 5))
+            hidden = tuple(int(h) for h in rng.integers(2, 9, size=int(rng.integers(1, 3))))
+            if make is make_gaussian_ac:
+                ac = make(obs_dim=obs_dim, action_dim=int(rng.integers(1, 4)), hidden=hidden, seed=k)
+            else:
+                ac = make(obs_dim=obs_dim, n_actions=int(rng.integers(2, 6)), hidden=hidden, seed=k)
+            ac.params.data[:] = rng.normal(scale=0.5, size=len(ac.params))
+            mb = random_minibatch(ac, rng, n=int(rng.integers(2, 70)))
+            lambda_div = (0.0, 0.3)[k % 2]
+            cfg = small_cfg(alpha_vf=(0.0, 0.5)[k % 3 != 0], alpha_ent=(0.0, 0.02)[(k // 2) % 2])
+            ema = ac.policy_params() + rng.normal(scale=0.05, size=ac.n_policy)
+            _, taped = ppo.loss_graph(ac, nn.make_leaves(ac.params), mb, cfg, lambda_div, ema)
+            yield taped, ppo.evaluate_loss(ac, mb, cfg, lambda_div, ema)
+
+    def test_gaussian_head_bit_identical(self, rng):
+        for taped, numpy_bd in self._pairs(make_gaussian_ac, rng):
+            assert numpy_bd == taped
+
+    def test_categorical_head_within_1e12_relative(self, rng):
+        # the tape's log-softmax subtracts log-sum-exp from the raw logits,
+        # logp_batch from the max-shifted ones, so the last bits may differ
+        for taped, numpy_bd in self._pairs(make_categorical_ac, rng):
+            for field in ("l_ppo", "l_vf", "entropy", "kl_div", "l_total"):
+                a, b = getattr(taped, field), getattr(numpy_bd, field)
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), field
+
+
 class TestPpoUpdate:
     def _batch(self, ac, rng, n=16):
         from poemrl.rollout import RolloutBatch, compute_gae
