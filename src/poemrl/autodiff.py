@@ -54,13 +54,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
     def _accum(self, g: np.ndarray) -> None:
         # never mutate grads in place: vjp outputs may alias each other
         self.grad = g if self.grad is None else self.grad + g
@@ -88,36 +81,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # ---- operators ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_ensure(other))
-
-    def __rsub__(self, other):
-        return add(_ensure(other), -self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_ensure(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"

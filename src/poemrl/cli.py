@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"best trial: {result.best_trial}  score: {result.best_score:.2f}")
             print(f"best config: {out_dir}/best_config.ini")
             print(f"trials log:  {result.trials_path}")
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

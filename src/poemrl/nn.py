@@ -9,25 +9,21 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NumericalError, Tensor
-
-HIDDEN_ACTIVATIONS = ("tanh",)
-OUTPUT_ACTIVATIONS = ("linear",)
+from .autodiff import Tensor
 
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Shape of a fully-connected net: input, hidden..., output widths."""
+    """Shape of a fully-connected net: input, hidden..., output widths.
+    Hidden layers are tanh, the output layer is linear."""
 
     layer_sizes: tuple[int, ...]
-    hidden_activation: str = "tanh"
-    output_activation: str = "linear"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
@@ -35,16 +31,12 @@ class MlpSpec:
             raise ValueError("need at least input and output sizes")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError(f"all layer sizes must be >= 1, got {self.layer_sizes}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unsupported hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unsupported output activation {self.output_activation!r}")
 
     @property
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         sizes = self.layer_sizes
         return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(self.n_layers))
@@ -105,19 +97,18 @@ class ParamVector:
             for e in self.layout
         }
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.data.copy(), self.layout)
-
     def with_data(self, data: np.ndarray) -> "ParamVector":
         return ParamVector(data, self.layout)
 
 
-def flatten_views(views: dict[str, np.ndarray], layout: tuple[LayoutEntry, ...]) -> ParamVector:
-    """Inverse of ParamVector.views(); round-trips bit-exactly."""
-    data = np.empty(sum(e.size for e in layout), dtype=np.float64)
-    for e in layout:
-        data[e.offset : e.offset + e.size] = np.asarray(views[e.name], dtype=np.float64).ravel()
-    return ParamVector(data, layout)
+def layer_views(spec: MlpSpec, flat: np.ndarray, offset: int = 0) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-layer (W, b) views into `flat`, for a net whose block starts at
+    `offset`; in-place writes to `flat` show through them."""
+    entries = mlp_layout(spec, "", offset)
+    return tuple(
+        (flat[w.offset : w.offset + w.size].reshape(w.shape), flat[b.offset : b.offset + b.size])
+        for w, b in zip(entries[::2], entries[1::2])
+    )
 
 
 # ---- serialization: <u32 length><little-endian float64 values> ----------
@@ -160,23 +151,15 @@ def init_params(spec: MlpSpec, seed: int, final_layer_scale: float = 1.0) -> Par
     return pv
 
 
-def forward_batch(spec: MlpSpec, views: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Plain-numpy forward for a (batch, n_in) input."""
+def forward_batch(layers: tuple[tuple[np.ndarray, np.ndarray], ...], x: np.ndarray) -> np.ndarray:
+    """Plain-numpy forward of (W, b) layers for a (batch, n_in) input."""
     h = np.asarray(x, dtype=np.float64)
-    last = spec.n_layers - 1
-    for i in range(spec.n_layers):
-        h = h @ views[f"w{i}"] + views[f"b{i}"]
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        h = h @ w + b
         if i != last:
             h = np.tanh(h)
     return h
-
-
-def forward(spec: MlpSpec, params: ParamVector, x) -> np.ndarray:
-    """Single-vector forward pass; pure function of (params, x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.layer_sizes[0],):
-        raise ValueError(f"input shape {x.shape} does not match input size {spec.layer_sizes[0]}")
-    return forward_batch(spec, params.views(), x[None, :])[0]
 
 
 def make_leaves(params: ParamVector) -> dict[str, Tensor]:
@@ -203,32 +186,6 @@ def collect_leaf_grads(leaves: dict[str, Tensor], layout: tuple[LayoutEntry, ...
         if g is not None:
             out[e.offset : e.offset + e.size] = g.ravel()
     return out
-
-
-def gradient(
-    spec: MlpSpec,
-    params: ParamVector,
-    inputs: np.ndarray,
-    loss_fn: Callable[[Tensor], Tensor],
-) -> ParamVector:
-    """d(loss)/d(params) by reverse accumulation.
-
-    `loss_fn` maps the network outputs for `inputs` (a tape tensor of shape
-    (batch, n_out)) to a scalar tape tensor, using `autodiff` ops.
-    """
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    leaves = make_leaves(params)
-    out = forward_batch_t(spec, leaves, x)
-    loss = loss_fn(out)
-    if loss.data.size != 1:
-        raise ValueError("loss_fn must return a scalar")
-    if not np.isfinite(loss.data):
-        raise NumericalError("loss is not finite")
-    loss.backward()
-    grad = collect_leaf_grads(leaves, params.layout)
-    if not np.all(np.isfinite(grad)):
-        raise NumericalError("gradient has non-finite entries")
-    return ParamVector(grad, params.layout)
 
 
 # ---- Adam -----------------------------------------------------------------

@@ -5,13 +5,14 @@ diagonal-Gaussian mean (with one state-independent log-std per action
 dimension) or categorical logits, and a critic producing a scalar value.
 All parameters live in one ParamVector laid out actor | log_std | critic,
 so the leading actor+log_std block is "the policy" for tracking,
-divergence measurement, and mutation.
+divergence measurement, and mutation. The per-layer views into that vector
+are built once per parameter vector, when an ActorCritic is made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,11 +56,26 @@ class ActorCritic:
     head: DiagGaussianHead | CategoricalHead
     params: ParamVector
     obs_scale: np.ndarray = None  # fixed per-feature input scaling
+    # geometry of `params`: views into params.data, set in __post_init__
+    n_policy: int = field(init=False, repr=False, compare=False)  # actor + log_std length
+    actor_layers: tuple = field(init=False, repr=False, compare=False)
+    log_std: np.ndarray = field(init=False, repr=False, compare=False)  # raw, unclipped
+    critic_layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        obs_dim = self.actor_spec.layer_sizes[0]
         if self.obs_scale is None:
-            self.obs_scale = np.ones(self.actor_spec.layer_sizes[0])
+            self.obs_scale = np.ones(obs_dim)
         self.obs_scale = np.asarray(self.obs_scale, dtype=np.float64)
+        if self.obs_scale.shape != (obs_dim,) or not np.all(np.isfinite(self.obs_scale)):
+            raise ValueError(f"obs_scale must be {obs_dim} finite numbers, got {self.obs_scale.tolist()}")
+        n_actor = self.actor_spec.n_params
+        n_log_std = self.head.action_dim if isinstance(self.head, DiagGaussianHead) else 0
+        self.n_policy = n_actor + n_log_std
+        data = self.params.data
+        self.actor_layers = nn.layer_views(self.actor_spec, data)
+        self.log_std = data[n_actor : self.n_policy]
+        self.critic_layers = nn.layer_views(self.critic_spec, data, self.n_policy)
 
     @classmethod
     def create(
@@ -90,24 +106,9 @@ class ActorCritic:
         data = np.concatenate([actor.data, np.full(n_log_std, float(log_std_init)), critic.data])
         return cls(actor_spec, critic_spec, head, ParamVector(data, tuple(layout)), obs_scale)
 
-    # ---- parameter geometry ------------------------------------------
-
-    @property
-    def n_log_std(self) -> int:
-        return self.head.action_dim if isinstance(self.head, DiagGaussianHead) else 0
-
-    @property
-    def n_policy(self) -> int:
-        """Length of the actor + log_std block (the pi-defining slice)."""
-        return self.actor_spec.n_params + self.n_log_std
-
     @property
     def policy_slice(self) -> slice:
         return slice(0, self.n_policy)
-
-    @property
-    def critic_slice(self) -> slice:
-        return slice(self.n_policy, len(self.params))
 
     def policy_params(self) -> np.ndarray:
         return self.params.data[self.policy_slice].copy()
@@ -117,28 +118,6 @@ class ActorCritic:
 
     def obs_dim(self) -> int:
         return self.actor_spec.layer_sizes[0]
-
-
-def _actor_views(ac: ActorCritic, policy_params: np.ndarray | None) -> dict[str, np.ndarray]:
-    flat = ac.params.data if policy_params is None else np.asarray(policy_params, dtype=np.float64)
-    views = {}
-    for e in nn.mlp_layout(ac.actor_spec):
-        views[e.name] = flat[e.offset : e.offset + e.size].reshape(e.shape)
-    return views
-
-
-def _log_std_of(ac: ActorCritic, policy_params: np.ndarray | None) -> np.ndarray:
-    flat = ac.params.data if policy_params is None else np.asarray(policy_params, dtype=np.float64)
-    raw = flat[ac.actor_spec.n_params : ac.actor_spec.n_params + ac.n_log_std]
-    return np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
-
-
-def _critic_views(ac: ActorCritic) -> dict[str, np.ndarray]:
-    base = ac.n_policy
-    views = {}
-    for e in nn.mlp_layout(ac.critic_spec):
-        views[e.name] = ac.params.data[base + e.offset : base + e.offset + e.size].reshape(e.shape)
-    return views
 
 
 def _features(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
@@ -159,11 +138,11 @@ def distribution(ac: ActorCritic, obs) -> DiagGaussian | Categorical:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (ac.obs_dim(),):
         raise ValueError(f"obs shape {obs.shape} does not match input size {ac.obs_dim()}")
-    out = nn.forward_batch(ac.actor_spec, _actor_views(ac, None), _features(ac, obs[None, :]))[0]
+    out = nn.forward_batch(ac.actor_layers, _features(ac, obs[None, :]))[0]
     if not np.all(np.isfinite(out)):
         raise NumericalError("actor network produced non-finite output")
     if isinstance(ac.head, DiagGaussianHead):
-        return DiagGaussian(mean=out, std=np.exp(_log_std_of(ac, None)))
+        return DiagGaussian(mean=out, std=np.exp(np.clip(ac.log_std, LOG_STD_MIN, LOG_STD_MAX)))
     return Categorical(probs=_softmax_rows(out[None, :])[0])
 
 
@@ -193,26 +172,18 @@ def log_prob(dist: DiagGaussian | Categorical, action) -> float:
     return float(np.log(dist.probs[idx]))
 
 
-def entropy(dist: DiagGaussian | Categorical) -> float:
-    if isinstance(dist, DiagGaussian):
-        return float((GAUSSIAN_ENTROPY_CONST + np.log(dist.std)).sum())
-    p = dist.probs
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(-terms.sum())
-
-
 def value(ac: ActorCritic, obs) -> float:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (ac.obs_dim(),):
         raise ValueError(f"obs shape {obs.shape} does not match input size {ac.obs_dim()}")
-    return float(nn.forward_batch(ac.critic_spec, _critic_views(ac), _features(ac, obs[None, :]))[0, 0])
+    return float(nn.forward_batch(ac.critic_layers, _features(ac, obs[None, :]))[0, 0])
 
 
 # ---- vectorized plain-numpy paths (collection, evaluation, KL probes) ----
 
 
 def values_batch(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
-    return nn.forward_batch(ac.critic_spec, _critic_views(ac), _features(ac, obs))[:, 0]
+    return nn.forward_batch(ac.critic_layers, _features(ac, obs))[:, 0]
 
 
 def logp_batch(
@@ -223,9 +194,14 @@ def logp_batch(
 ) -> np.ndarray:
     """log pi(a_i|s_i) for stored pairs, optionally under replacement policy
     parameters (an array shaped like the actor+log_std slice)."""
-    out = nn.forward_batch(ac.actor_spec, _actor_views(ac, policy_params), _features(ac, obs))
+    if policy_params is None:
+        layers, log_std = ac.actor_layers, ac.log_std
+    else:
+        flat = np.asarray(policy_params, dtype=np.float64)
+        layers, log_std = nn.layer_views(ac.actor_spec, flat), flat[ac.actor_spec.n_params : ac.n_policy]
+    out = nn.forward_batch(layers, _features(ac, obs))
     if isinstance(ac.head, DiagGaussianHead):
-        log_std = _log_std_of(ac, policy_params)
+        log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
         z = (actions - out) / np.exp(log_std)
         return -0.5 * LOG_2PI * ac.head.action_dim - log_std.sum() - 0.5 * (z * z).sum(axis=1)
     logits = out - out.max(axis=1, keepdims=True)
@@ -237,8 +213,9 @@ def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
     """Mean per-state policy entropy over a batch of observations."""
     if isinstance(ac.head, DiagGaussianHead):
         # summed as policy_graph does, so the two agree bit for bit
-        return float(_log_std_of(ac, None).sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
-    logits = nn.forward_batch(ac.actor_spec, _actor_views(ac, None), _features(ac, obs))
+        return float(np.clip(ac.log_std, LOG_STD_MIN, LOG_STD_MAX).sum()
+                     + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
+    logits = nn.forward_batch(ac.actor_layers, _features(ac, obs))
     probs = _softmax_rows(logits)
     logp = np.log(np.maximum(probs, 1e-300))
     return float(-(probs * logp).sum(axis=1).mean())

@@ -15,17 +15,6 @@ from . import policy as pol
 from .policy import ActorCritic, DiagGaussianHead
 
 
-@dataclass(frozen=True)
-class Transition:
-    obs: np.ndarray
-    action: object
-    log_prob_old: float
-    reward: float
-    value_old: float
-    terminated: bool
-    truncated: bool
-
-
 @dataclass
 class RolloutBatch:
     """Column-major rollout storage; advantages/returns appear after GAE."""
@@ -45,22 +34,6 @@ class RolloutBatch:
 
     def __len__(self) -> int:
         return len(self.rewards)
-
-    def transitions(self) -> list[Transition]:
-        out = []
-        for i in range(len(self)):
-            out.append(
-                Transition(
-                    self.obs[i],
-                    self.actions[i],
-                    float(self.log_probs_old[i]),
-                    float(self.rewards[i]),
-                    float(self.values_old[i]),
-                    bool(self.terminated[i]),
-                    bool(self.truncated[i]),
-                )
-            )
-        return out
 
     def minibatch(self, idx: np.ndarray) -> "Minibatch":
         if self.advantages is None or self.returns is None:

@@ -120,6 +120,13 @@ class TestCheckpointHeader:
         err = self._evaluate_error(path, capsys)
         assert str(path) in err
 
+    @pytest.mark.parametrize("scale", [[2.0], [1.0, 2.0, 3.0], [1.0, float("nan")]])
+    def test_obs_scale_that_does_not_fit_is_a_one_line_error(self, tmp_path, capsys, scale):
+        path = self._checkpoint(tmp_path)
+        rewrite_header(path, lambda h: h.update(obs_scale=scale))
+        err = self._evaluate_error(path, capsys)
+        assert str(path) in err and "obs_scale" in err
+
     def test_header_that_is_not_an_object_is_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
         blob = b"[1, 2]"
@@ -339,6 +346,18 @@ class TestCli:
         ])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_cli_config_that_is_a_directory_is_a_one_line_error(self, tmp_path, capsys):
+        rc = cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+    def test_cli_checkpoint_that_is_a_directory_is_a_one_line_error(self, tmp_path, capsys):
+        rc = cli.main(["evaluate", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
 
     def test_cli_tune_smoke(self, tmp_path):
         rc = cli.main([

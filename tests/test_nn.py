@@ -21,8 +21,6 @@ class TestSpecAndLayout:
             MlpSpec((3,))
         with pytest.raises(ValueError):
             MlpSpec((3, 0, 2))
-        with pytest.raises(ValueError):
-            MlpSpec((2, 1), hidden_activation="relu")
 
     def test_layout_is_disjoint_and_covering(self):
         spec = MlpSpec((5, 7, 3, 2))
@@ -33,12 +31,14 @@ class TestSpecAndLayout:
             pos += e.size
         assert pos == spec.n_params
 
-    def test_flatten_unflatten_roundtrip_bit_exact(self, rng):
-        spec = MlpSpec((4, 6, 3))
-        pv = nn.init_params(spec, seed=3)
-        pv.data[:] = rng.normal(size=len(pv))
-        back = nn.flatten_views(pv.views(), pv.layout)
-        assert np.array_equal(back.data, pv.data)
+    def test_layer_views_follow_the_layout_and_see_later_writes(self):
+        spec = MlpSpec((3, 4, 2))
+        flat = np.arange(5.0 + spec.n_params)
+        (w0, b0), (w1, b1) = nn.layer_views(spec, flat, offset=5)
+        assert np.array_equal(w0, flat[5:17].reshape(3, 4)) and np.array_equal(b0, flat[17:21])
+        assert np.array_equal(w1, flat[21:29].reshape(4, 2)) and np.array_equal(b1, flat[29:31])
+        flat[:] = -flat
+        assert w0[0, 0] == -5.0 and b1[-1] == -30.0
 
     def test_serialization_roundtrip(self, rng):
         spec = MlpSpec((4, 3))
@@ -72,6 +72,18 @@ class TestInit:
         assert np.allclose(scaled.view("w1"), 0.01 * pv.view("w1"))
 
 
+def forward_one(spec: MlpSpec, pv: ParamVector, x) -> np.ndarray:
+    """One input vector through the net's layer views."""
+    return nn.forward_batch(nn.layer_views(spec, pv.data), np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def tape_gradient(spec: MlpSpec, pv: ParamVector, x, loss_fn) -> ParamVector:
+    """d(loss_fn(net(x)))/d(params) through the tape path the update uses."""
+    leaves = nn.make_leaves(pv)
+    loss_fn(nn.forward_batch_t(spec, leaves, np.atleast_2d(np.asarray(x, dtype=np.float64)))).backward()
+    return ParamVector(nn.collect_leaf_grads(leaves, pv.layout), pv.layout)
+
+
 class TestForward:
     def _linear_net(self, w, b):
         spec = MlpSpec((1, 1))
@@ -82,12 +94,12 @@ class TestForward:
 
     def test_identity_map(self):
         spec, pv = self._linear_net(1.0, 0.0)
-        assert nn.forward(spec, pv, [2.0])[0] == 2.0
+        assert forward_one(spec, pv, [2.0])[0] == 2.0
 
     def test_constant_map(self):
         spec, pv = self._linear_net(0.0, 0.5)
         for x in (-3.0, 0.0, 7.5):
-            assert nn.forward(spec, pv, [x])[0] == 0.5
+            assert forward_one(spec, pv, [x])[0] == 0.5
 
     def test_tanh_hidden_at_zero(self):
         spec = MlpSpec((1, 1, 1))
@@ -96,21 +108,15 @@ class TestForward:
         pv.view("w1")[:] = 1.0
         pv.view("b0")[:] = 0.0
         pv.view("b1")[:] = 0.0
-        assert nn.forward(spec, pv, [0.0])[0] == 0.0
-
-    def test_dimension_mismatch_rejected(self):
-        spec = MlpSpec((2, 1))
-        pv = nn.init_params(spec, seed=0)
-        with pytest.raises(ValueError):
-            nn.forward(spec, pv, [1.0, 2.0, 3.0])
+        assert forward_one(spec, pv, [0.0])[0] == 0.0
 
     def test_forward_is_pure(self):
         spec = MlpSpec((2, 3, 1))
         pv = nn.init_params(spec, seed=5)
         before = pv.data.copy()
         x = np.array([0.3, -0.8])
-        y1 = nn.forward(spec, pv, x)
-        y2 = nn.forward(spec, pv, x)
+        y1 = forward_one(spec, pv, x)
+        y2 = forward_one(spec, pv, x)
         assert np.array_equal(y1, y2)
         assert np.array_equal(pv.data, before)
 
@@ -120,7 +126,7 @@ class TestGradient:
         spec = MlpSpec((1, 1))
         pv = nn.init_params(spec, seed=0)
         pv.view("w0")[:] = 1.0
-        g = nn.gradient(spec, pv, [[2.0]], lambda out: ad.tsum(out))
+        g = tape_gradient(spec, pv, [[2.0]], lambda out: ad.tsum(out))
         assert g.view("w0")[0, 0] == 2.0
         assert g.view("b0")[0] == 1.0
 
@@ -128,7 +134,7 @@ class TestGradient:
         spec = MlpSpec((1, 1))
         pv = nn.init_params(spec, seed=0)
         pv.view("w0")[:] = 3.0
-        g = nn.gradient(spec, pv, [[1.0]], lambda out: ad.tsum(ad.square(out)))
+        g = tape_gradient(spec, pv, [[1.0]], lambda out: ad.tsum(ad.square(out)))
         assert g.view("w0")[0, 0] == 6.0
 
     def test_matches_central_differences_on_random_nets(self, rng):
@@ -145,21 +151,14 @@ class TestGradient:
             def loss_fn(out):
                 return ad.tmean(ad.square(ad.tanh(ad.matmul(out, ad.constant(w[:, None])))))
 
-            analytic = nn.gradient(spec, pv, x, loss_fn).data
+            analytic = tape_gradient(spec, pv, x, loss_fn).data
 
             def scalar(theta):
-                p = ParamVector(theta, pv.layout)
-                out = nn.forward_batch(spec, p.views(), x)
+                out = nn.forward_batch(nn.layer_views(spec, theta), x)
                 return float(np.mean(np.tanh(out @ w[:, None]) ** 2))
 
             fd = central_diff(scalar, pv.data)
             assert max_rel_err(analytic, fd) <= 1e-5
-
-    def test_non_finite_loss_reported(self):
-        spec = MlpSpec((1, 1))
-        pv = nn.init_params(spec, seed=0)
-        with np.errstate(divide="ignore"), pytest.raises(nn.NumericalError):
-            nn.gradient(spec, pv, [[1.0]], lambda out: ad.log(ad.tsum(ad.mul(out, 0.0))))
 
 
 class TestAdam:

@@ -334,8 +334,8 @@ class TestPoemUpdate:
                 np.random.default_rng(trial), d_post=0.0,
             )
             if metrics.mutation_accepted:
-                assert not np.array_equal(out.params.data[ac.critic_slice],
-                                          ac.params.data[ac.critic_slice])
+                assert not np.array_equal(out.params.data[ac.n_policy :],
+                                          ac.params.data[ac.n_policy :])
                 break
         else:
             pytest.fail("no accepted mutation in 30 seeded tries")

@@ -108,25 +108,29 @@ class TestLogProb:
 
 class TestEntropy:
     def test_unit_gaussian(self):
-        g = DiagGaussian(mean=np.array([0.0]), std=np.array([1.0]))
-        assert abs(pol.entropy(g) - 1.4189385) < 1e-6
+        ac = zeroed(make_gaussian_ac())
+        assert abs(pol.entropy_mean(ac, np.zeros((3, 2))) - 1.4189385) < 1e-6
 
     def test_uniform_categorical_is_max_entropy(self):
-        c = Categorical(probs=np.full(4, 0.25))
-        assert abs(pol.entropy(c) - math.log(4)) < 1e-12
+        ac = zeroed(make_categorical_ac(n_actions=4))
+        assert abs(pol.entropy_mean(ac, np.ones((3, 2))) - math.log(4)) < 1e-12
 
     def test_one_hot_categorical_is_zero(self):
-        c = Categorical(probs=np.array([0.0, 1.0, 0.0]))
-        assert pol.entropy(c) == 0.0
+        ac = zeroed(make_categorical_ac(n_actions=3))
+        ac.actor_layers[-1][1][:] = [0.0, 1e3, 0.0]  # the other probabilities underflow to 0
+        assert pol.entropy_mean(ac, np.ones((3, 2))) == 0.0
 
     def test_gaussian_entropy_matches_monte_carlo(self):
-        g = DiagGaussian(mean=np.array([0.5]), std=np.array([0.8]))
+        ac = zeroed(make_gaussian_ac())
+        ac.actor_layers[-1][1][:] = 0.5
+        ac.log_std[:] = math.log(0.8)
+        g = pol.distribution(ac, [0.0, 0.0])
         rng = np.random.default_rng(42)
         samples = g.mean + g.std * rng.standard_normal((100_000, 1))
         logps = np.array([pol.log_prob(g, s) for s in samples[:: 1]])
         est = -logps.mean()
         se = logps.std(ddof=1) / math.sqrt(len(logps))
-        assert abs(est - pol.entropy(g)) <= 3 * se
+        assert abs(est - pol.entropy_mean(ac, np.zeros((1, 2)))) <= 3 * se
 
 
 class TestValue:

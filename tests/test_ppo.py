@@ -235,7 +235,7 @@ class TestPpoUpdate:
         ac = make_gaussian_ac(seed=8)
         batch = self._batch(ac, rng)
         batch.log_probs_old[:] = -1e6  # exp overflow in the ratio
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(nn.NumericalError) as exc:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ad.NumericalError) as exc:
             ppo.ppo_update(ac, batch, small_cfg(minibatch_size=16), nn.init_adam(len(ac.params)),
                            np.random.default_rng(0))
         assert "minibatch 0" in str(exc.value)

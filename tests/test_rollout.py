@@ -199,9 +199,3 @@ class TestComputeGae:
         b = batch_from([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             b.minibatch(np.array([0]))
-
-    def test_transitions_view(self):
-        b = compute_gae(batch_from([1.0, 2.0], [0.2, 0.3], terminated=[False, True]), 0.9, 0.9)
-        ts = b.transitions()
-        assert len(ts) == 2
-        assert ts[1].reward == 2.0 and ts[1].terminated and not ts[1].truncated
