@@ -6,31 +6,28 @@ import argparse
 import sys
 
 from . import harness
-from .config import ConfigError, TuneSpec, load_run_config
+from .config import ALGOS, ConfigError, TuneSpec, load_run_config
+
+
+# each config flag sets one [run] key; its text is parsed like a config value
+CONFIG_FLAGS = {  # --name: (key, metavar, help)
+    "env": ("env", "ID", "environment id"),
+    "algo": ("algo", "NAME", "algorithm: " + " or ".join(ALGOS)),
+    "seed": ("seed", "N", "run seed"),
+    "timesteps": ("total_timesteps", "N", "total training timesteps"),
+    "out": ("out_dir", "DIR", "output directory"),
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file (key = value sections)")
-    parser.add_argument("--env", metavar="ID", help="environment id")
-    parser.add_argument("--algo", choices=["ppo", "poem"], help="algorithm")
-    parser.add_argument("--seed", type=int, metavar="N", help="run seed")
-    parser.add_argument("--timesteps", type=int, metavar="N", help="total training timesteps")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
+    for name, (_, metavar, help_text) in CONFIG_FLAGS.items():
+        parser.add_argument(f"--{name}", metavar=metavar, help=help_text)
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict[tuple[str, str], str]:
-    overrides: dict[tuple[str, str], str] = {}
-    if args.env is not None:
-        overrides[("run", "env")] = args.env
-    if args.algo is not None:
-        overrides[("run", "algo")] = args.algo
-    if args.seed is not None:
-        overrides[("run", "seed")] = str(args.seed)
-    if args.timesteps is not None:
-        overrides[("run", "total_timesteps")] = str(args.timesteps)
-    if args.out is not None:
-        overrides[("run", "out_dir")] = args.out
-    return overrides
+    return {("run", key): getattr(args, name) for name, (key, _, _) in CONFIG_FLAGS.items()
+            if getattr(args, name) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,14 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser("tune", help="bounded random search around the config's values")
     _add_config_flags(p_tune)
-    p_tune.add_argument("--trials", type=int, default=20, metavar="N")
-    p_tune.add_argument("--bound", type=float, default=0.10, metavar="F",
+    p_tune.add_argument("--trials", type=int, default=TuneSpec.n_trials, metavar="N")
+    p_tune.add_argument("--bound", type=float, default=TuneSpec.bound, metavar="F",
                         help="relative deviation per hyperparameter")
     p_tune.add_argument("--trial-timesteps", type=int, metavar="N",
                         help="timesteps per trial (default: 50k mountain car, 100k otherwise)")
-    p_tune.add_argument("--episodes", type=int, default=4, metavar="N",
+    p_tune.add_argument("--episodes", type=int, default=TuneSpec.eval_episodes, metavar="N",
                         help="evaluation episodes per trial")
-    p_tune.add_argument("--tune-seed", type=int, default=0, metavar="N",
+    p_tune.add_argument("--tune-seed", type=int, default=TuneSpec.seed, metavar="N",
                         help="master seed for the trial sampler")
     return parser
 

@@ -1,16 +1,21 @@
-"""Run configuration: defaults, config-file parsing, and override layering.
+"""Run configuration: declared settings, config-file parsing, and layering.
 
-Config files are flat UTF-8 ``key = value`` lines under bracketed section
-headers ([run], [ppo], [poem]); ``#`` starts a comment. Values layer as
-defaults < config file < POEMRL_* environment variables < CLI flags, and
-unknown sections or keys are hard errors so a typo cannot silently skew a
-comparison.
+Each setting is declared once: the [ppo] and [poem] keys, types and defaults
+are the fields of PpoConfig and PoemConfig, in config.ini order; the [run]
+keys and text defaults are RUN_DEFAULTS, typed by the RunConfig field of the
+same name (``env`` sets ``env_id``). Config files are flat UTF-8 ``key =
+value`` lines under [run], [ppo] and [poem]; ``#`` starts a comment. Values
+layer as defaults < config file < POEMRL_* environment variables < CLI flags,
+and unknown sections, unknown or repeated keys and malformed values are hard
+errors so a typo cannot silently skew a comparison.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 from .envs import ENV_REGISTRY
 from .poem import TRIGGER_OFF, PoemConfig
@@ -19,39 +24,17 @@ from .ppo import PpoConfig
 ENV_VAR_PREFIX = "POEMRL_"
 ALGOS = ("ppo", "poem")
 
-# declared defaults; the per-env entries double as tuning centers
-GLOBAL_DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {
-        "env": "mountain_car_continuous",
-        "algo": "poem",
-        "seed": "0",
-        "total_timesteps": "150000",
-        "n_steps": "512",
-        "hidden_sizes": "64,64",
-        "log_std_init": "-2.0",
-        "checkpoint_every": "10",
-        "out_dir": "runs/run",
-    },
-    "ppo": {
-        "learning_rate": "3e-4",
-        "clip_epsilon": "0.2",
-        "epochs": "10",
-        "minibatch_size": "64",
-        "gamma": "0.99",
-        "lam": "0.95",
-        "alpha_vf": "0.5",
-        "alpha_ent": "0.0",
-        "max_grad_norm": "0.5",
-    },
-    "poem": {
-        "beta": "0.99",
-        "delta": "0.01",
-        "sigma_min": "0.005",
-        "sigma_max": "0.05",
-        "lambda_div": "0.01",
-        "n_candidates": "1",
-        "mutate_scope": "actor_only",
-    },
+# [run] text defaults; the [ppo] and [poem] ones are on their dataclasses
+RUN_DEFAULTS = {
+    "env": "mountain_car_continuous",
+    "algo": "poem",
+    "seed": "0",
+    "total_timesteps": "150000",
+    "n_steps": "512",
+    "hidden_sizes": "64,64",
+    "log_std_init": "-2.0",
+    "checkpoint_every": "10",
+    "out_dir": "runs/run",
 }
 
 # per-env defaults: training budgets, and a gentler mutation scale on the
@@ -90,6 +73,8 @@ class RunConfig:
             raise ConfigError(f"unknown env {self.env_id!r}; known: {sorted(ENV_REGISTRY)}")
         if self.algo not in ALGOS:
             raise ConfigError(f"unknown algo {self.algo!r}; known: {ALGOS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_steps < 1 or self.total_timesteps < self.n_steps:
             raise ConfigError("need total_timesteps >= n_steps >= 1")
         if self.checkpoint_every < 0:
@@ -98,9 +83,69 @@ class RunConfig:
             raise ConfigError("hidden_sizes must be positive integers")
         if self.algo == "ppo":
             # plain PPO never uses the diversity term or the mutation trigger
-            object.__setattr__(
-                self, "poem", replace(self.poem, lambda_div=0.0, delta=TRIGGER_OFF)
-            )
+            object.__setattr__(self, "poem", replace(self.poem, lambda_div=0.0, delta=TRIGGER_OFF))
+
+
+def _field(key: str) -> str:
+    return "env_id" if key == "env" else key  # the one key not named as its field
+
+
+def _parse_int(raw: str, where: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: expected integer, got {raw!r}") from None
+
+
+def _parse_float(raw: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
+
+
+def _parse_str(raw: str, where: str) -> str:
+    # config.ini must read back what it wrote
+    if "#" in raw or raw != raw.strip() or len(raw.splitlines()) > 1:
+        raise ConfigError(f"{where}: expected one line without '#' or outer spaces, got {raw!r}")
+    return raw
+
+
+# one parser per field type, each reporting errors as <section>.<key>
+_PARSERS = {
+    int: _parse_int,
+    float: _parse_float,
+    float | None: lambda raw, where: None if raw.lower() in ("none", "off") else _parse_float(raw, where),
+    tuple[int, ...]: lambda raw, where: tuple(
+        _parse_int(part.strip(), where) for part in raw.split(",") if part.strip()),
+    str: _parse_str,
+}
+
+
+def _format(value) -> str:
+    """Config text that the value's parser reads back as the same value."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_SECTIONS = {"run": RunConfig, "ppo": PpoConfig, "poem": PoemConfig}
+
+GLOBAL_DEFAULTS: dict[str, dict[str, str]] = {
+    "run": RUN_DEFAULTS,
+    **{name: {f.name: _format(f.default) for f in fields(_SECTIONS[name])} for name in ("ppo", "poem")},
+}
+
+_PARSER_OF = {
+    (section, key): _PARSERS[typing.get_type_hints(_SECTIONS[section])[_field(key)]]
+    for section, keys in GLOBAL_DEFAULTS.items()
+    for key in keys
+}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[tuple[str, str], str]:
@@ -123,7 +168,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[tuple[str, st
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in GLOBAL_DEFAULTS[section]:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{section}]")
-        values[(section, key.lower())] = value
+        if (section, key) in values:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{section}]")
+        values[(section, key)] = value
     return values
 
 
@@ -134,77 +181,21 @@ def env_var_overrides(environ=None) -> dict[tuple[str, str], str]:
     for name, value in environ.items():
         if not name.startswith(ENV_VAR_PREFIX):
             continue
-        rest = name[len(ENV_VAR_PREFIX) :]
-        section, _, key = rest.partition("_")
-        section, key = section.lower(), key.lower()
+        section, _, key = name[len(ENV_VAR_PREFIX) :].lower().partition("_")
         if section not in GLOBAL_DEFAULTS or key not in GLOBAL_DEFAULTS[section]:
             raise ConfigError(f"unrecognized override variable {name}")
         values[(section, key)] = value
     return values
 
 
-def _to_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected integer, got {raw!r}") from None
-
-
-def _to_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected number, got {raw!r}") from None
-
-
 def build_run_config(values: dict[tuple[str, str], str]) -> RunConfig:
     """Typed RunConfig from a fully-layered string map."""
-
-    def get(section: str, key: str) -> str:
-        return values[(section, key)]
-
-    hidden = tuple(
-        _to_int(part.strip(), "run.hidden_sizes")
-        for part in get("run", "hidden_sizes").split(",")
-        if part.strip()
-    )
-    raw_norm = get("ppo", "max_grad_norm").lower()
-    max_grad_norm = None if raw_norm in ("none", "off") else _to_float(raw_norm, "ppo.max_grad_norm")
-
+    kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}
+    for (section, key), parse in _PARSER_OF.items():
+        kwargs[section][_field(key)] = parse(values[(section, key)], f"{section}.{key}")
     try:
-        ppo_cfg = PpoConfig(
-            clip_epsilon=_to_float(get("ppo", "clip_epsilon"), "ppo.clip_epsilon"),
-            alpha_vf=_to_float(get("ppo", "alpha_vf"), "ppo.alpha_vf"),
-            alpha_ent=_to_float(get("ppo", "alpha_ent"), "ppo.alpha_ent"),
-            epochs=_to_int(get("ppo", "epochs"), "ppo.epochs"),
-            minibatch_size=_to_int(get("ppo", "minibatch_size"), "ppo.minibatch_size"),
-            learning_rate=_to_float(get("ppo", "learning_rate"), "ppo.learning_rate"),
-            max_grad_norm=max_grad_norm,
-            gamma=_to_float(get("ppo", "gamma"), "ppo.gamma"),
-            lam=_to_float(get("ppo", "lam"), "ppo.lam"),
-        )
-        poem_cfg = PoemConfig(
-            beta=_to_float(get("poem", "beta"), "poem.beta"),
-            delta=_to_float(get("poem", "delta"), "poem.delta"),
-            sigma_min=_to_float(get("poem", "sigma_min"), "poem.sigma_min"),
-            sigma_max=_to_float(get("poem", "sigma_max"), "poem.sigma_max"),
-            lambda_div=_to_float(get("poem", "lambda_div"), "poem.lambda_div"),
-            n_candidates=_to_int(get("poem", "n_candidates"), "poem.n_candidates"),
-            mutate_scope=get("poem", "mutate_scope"),
-        )
-        return RunConfig(
-            env_id=get("run", "env"),
-            algo=get("run", "algo"),
-            seed=_to_int(get("run", "seed"), "run.seed"),
-            total_timesteps=_to_int(get("run", "total_timesteps"), "run.total_timesteps"),
-            n_steps=_to_int(get("run", "n_steps"), "run.n_steps"),
-            hidden_sizes=hidden,
-            log_std_init=_to_float(get("run", "log_std_init"), "run.log_std_init"),
-            checkpoint_every=_to_int(get("run", "checkpoint_every"), "run.checkpoint_every"),
-            out_dir=get("run", "out_dir"),
-            ppo=ppo_cfg,
-            poem=poem_cfg,
-        )
+        return RunConfig(**kwargs["run"], ppo=PpoConfig(**kwargs["ppo"]),
+                         poem=PoemConfig(**kwargs["poem"]))
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -240,40 +231,11 @@ def load_run_config(
 
 def config_to_text(config: RunConfig) -> str:
     """Snapshot in the same format load_run_config reads."""
-    norm = "none" if config.ppo.max_grad_norm is None else repr(config.ppo.max_grad_norm)
-    lines = [
-        "[run]",
-        f"env = {config.env_id}",
-        f"algo = {config.algo}",
-        f"seed = {config.seed}",
-        f"total_timesteps = {config.total_timesteps}",
-        f"n_steps = {config.n_steps}",
-        f"hidden_sizes = {','.join(str(h) for h in config.hidden_sizes)}",
-        f"log_std_init = {config.log_std_init!r}",
-        f"checkpoint_every = {config.checkpoint_every}",
-        f"out_dir = {config.out_dir}",
-        "",
-        "[ppo]",
-        f"learning_rate = {config.ppo.learning_rate!r}",
-        f"clip_epsilon = {config.ppo.clip_epsilon!r}",
-        f"epochs = {config.ppo.epochs}",
-        f"minibatch_size = {config.ppo.minibatch_size}",
-        f"gamma = {config.ppo.gamma!r}",
-        f"lam = {config.ppo.lam!r}",
-        f"alpha_vf = {config.ppo.alpha_vf!r}",
-        f"alpha_ent = {config.ppo.alpha_ent!r}",
-        f"max_grad_norm = {norm}",
-        "",
-        "[poem]",
-        f"beta = {config.poem.beta!r}",
-        f"delta = {config.poem.delta!r}",
-        f"sigma_min = {config.poem.sigma_min!r}",
-        f"sigma_max = {config.poem.sigma_max!r}",
-        f"lambda_div = {config.poem.lambda_div!r}",
-        f"n_candidates = {config.poem.n_candidates}",
-        f"mutate_scope = {config.poem.mutate_scope}",
-        "",
-    ]
+    lines = []
+    for section, keys in GLOBAL_DEFAULTS.items():
+        settings = config if section == "run" else getattr(config, section)
+        lines += [f"[{section}]", *(f"{key} = {_format(getattr(settings, _field(key)))}"
+                                    for key in keys), ""]
     return "\n".join(lines)
 
 
@@ -290,7 +252,7 @@ class TuneSpec:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
-        if self.bound < 0.0:
-            raise ConfigError("bound must be nonnegative")
+        if not 0.0 <= self.bound < math.inf:
+            raise ConfigError(f"bound must be a finite nonnegative number, got {self.bound}")
         if self.trial_timesteps < 1 or self.eval_episodes < 1:
             raise ConfigError("trial_timesteps and eval_episodes must be >= 1")

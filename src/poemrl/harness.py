@@ -324,6 +324,8 @@ def compare(
 ) -> list[dict]:
     """Welch-test per env: per-run mean rewards of the variant (second dir)
     against the baseline (first dir). Returns one row dict per env."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     base = _read_episode_csvs(baseline_dir)
     variant = _read_episode_csvs(variant_dir)
     missing = set(base) ^ set(variant)

@@ -33,6 +33,7 @@ TRIGGER_OFF = -1e9
 
 @dataclass(frozen=True)
 class PoemConfig:
+    # field order is the [poem] order of config.ini
     beta: float = 0.99  # EMA smoothing
     delta: float = 0.01  # divergence threshold
     sigma_min: float = 0.005

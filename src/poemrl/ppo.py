@@ -28,15 +28,16 @@ from .rollout import Minibatch, RolloutBatch
 
 @dataclass(frozen=True)
 class PpoConfig:
+    # field order is the [ppo] order of config.ini
+    learning_rate: float = 3e-4
     clip_epsilon: float = 0.2
-    alpha_vf: float = 0.5
-    alpha_ent: float = 0.0
     epochs: int = 10
     minibatch_size: int = 64
-    learning_rate: float = 3e-4
-    max_grad_norm: float | None = 0.5
     gamma: float = 0.99
     lam: float = 0.95
+    alpha_vf: float = 0.5
+    alpha_ent: float = 0.0
+    max_grad_norm: float | None = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.clip_epsilon < 1.0:

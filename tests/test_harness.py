@@ -359,6 +359,45 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
 
+    @staticmethod
+    def _one_line_error(argv, capsys) -> str:
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--seed", "abc", "run.seed: expected integer, got 'abc'"),
+        ("--timesteps", "1e5", "run.total_timesteps: expected integer, got '1e5'"),
+        ("--algo", "sac", "unknown algo 'sac'"),
+        ("--env", "car_racing", "unknown env 'car_racing'"),
+    ])
+    def test_cli_bad_config_flag_is_a_one_line_error(self, tmp_path, capsys, flag, value, named):
+        err = self._one_line_error(["train", flag, value, "--out", str(tmp_path / "x")], capsys)
+        assert named in err
+
+    def test_cli_non_finite_env_var_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POEMRL_PPO_LEARNING_RATE", "nan")
+        err = self._one_line_error(["train", "--out", str(tmp_path / "x")], capsys)
+        assert "ppo.learning_rate: expected a finite number, got 'nan'" in err
+
+    def test_cli_non_finite_config_value_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[poem]\ndelta = inf\n")
+        err = self._one_line_error(["train", "--config", str(path), "--out", str(tmp_path / "x")],
+                                   capsys)
+        assert "poem.delta: expected a finite number, got 'inf'" in err
+
+    @pytest.mark.parametrize("alpha", ["2.0", "-0.1", "nan"])
+    def test_cli_compare_alpha_outside_unit_interval_is_a_one_line_error(self, tmp_path, capsys,
+                                                                        alpha):
+        set_a, set_b = tmp_path / "a", tmp_path / "b"
+        synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0, 2.0, 3.0])
+        synthetic_run_set(set_b, "poem", "sparse_lander", [1.5, 2.5, 3.0])
+        err = self._one_line_error(["compare", str(set_a), str(set_b), "--alpha", alpha], capsys)
+        assert "alpha must be in [0, 1]" in err
+
     def test_cli_tune_smoke(self, tmp_path):
         rc = cli.main([
             "tune",
