@@ -122,30 +122,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    out = Tensor(a.data / b.data, (a, b))
-
-    def backward(g):
-        a._accum(_unbroadcast(g / b.data, a.data.shape))
-        b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def backward(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
 # ---- elementwise functions ---------------------------------------------
 
 
@@ -190,20 +166,6 @@ def square(a) -> Tensor:
 
     def backward(g):
         a._accum(g * 2.0 * a.data)
-
-    out._backward = backward
-    return out
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise min; on ties the gradient goes to the first argument."""
-    a, b = _ensure(a), _ensure(b)
-    take_a = a.data <= b.data
-    out = Tensor(np.where(take_a, a.data, b.data), (a, b))
-
-    def backward(g):
-        a._accum(_unbroadcast(g * take_a, a.data.shape))
-        b._accum(_unbroadcast(g * ~take_a, b.data.shape))
 
     out._backward = backward
     return out

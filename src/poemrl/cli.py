@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import harness
-from .config import ALGOS, ConfigError, TuneSpec, load_run_config
+from .config import ALGOS, ConfigError, TuneSpec, load_run_config, parse_float, parse_int
 
 
 # each config flag sets one [run] key; its text is parsed like a config value
@@ -30,6 +30,13 @@ def _flag_overrides(args: argparse.Namespace) -> dict[tuple[str, str], str]:
             if getattr(args, name) is not None}
 
 
+def _number(args: argparse.Namespace, name: str, parse):
+    """A flag that is not a config setting, parsed here rather than by argparse's
+    type= so a bad value is one error line naming the flag."""
+    raw = getattr(args, name)
+    return None if raw is None else parse(raw, "--" + name.replace("_", "-"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="poemrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -40,27 +47,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint over fixed-seed episodes")
     p_eval.add_argument("checkpoint", help="checkpoint file")
     p_eval.add_argument("--env", metavar="ID", help="env id (defaults to the checkpoint's)")
-    p_eval.add_argument("--episodes", type=int, default=15, metavar="N")
-    p_eval.add_argument("--seed", type=int, default=10_000, metavar="N", help="evaluation seed base")
+    p_eval.add_argument("--episodes", default="15", metavar="N")
+    p_eval.add_argument("--seed", default="10000", metavar="N", help="evaluation seed base")
     p_eval.add_argument("--out", metavar="DIR", help="where to write episodes.csv / steps.csv")
     p_eval.add_argument("--stochastic", action="store_true", help="sample instead of playing the mode")
 
     p_cmp = sub.add_parser("compare", help="Welch-test two run-set directories (baseline first)")
     p_cmp.add_argument("baseline_dir", help="directory of baseline (ppo) runs")
     p_cmp.add_argument("variant_dir", help="directory of variant (poem) runs")
-    p_cmp.add_argument("--alpha", type=float, default=0.05, metavar="F")
+    p_cmp.add_argument("--alpha", default="0.05", metavar="F")
     p_cmp.add_argument("--out", metavar="FILE", help="also write the table as CSV")
 
     p_tune = sub.add_parser("tune", help="bounded random search around the config's values")
     _add_config_flags(p_tune)
-    p_tune.add_argument("--trials", type=int, default=TuneSpec.n_trials, metavar="N")
-    p_tune.add_argument("--bound", type=float, default=TuneSpec.bound, metavar="F",
+    p_tune.add_argument("--trials", default=str(TuneSpec.n_trials), metavar="N")
+    p_tune.add_argument("--bound", default=repr(TuneSpec.bound), metavar="F",
                         help="relative deviation per hyperparameter")
-    p_tune.add_argument("--trial-timesteps", type=int, metavar="N",
+    p_tune.add_argument("--trial-timesteps", metavar="N",
                         help="timesteps per trial (default: 50k mountain car, 100k otherwise)")
-    p_tune.add_argument("--episodes", type=int, default=TuneSpec.eval_episodes, metavar="N",
+    p_tune.add_argument("--episodes", default=str(TuneSpec.eval_episodes), metavar="N",
                         help="evaluation episodes per trial")
-    p_tune.add_argument("--tune-seed", type=int, default=TuneSpec.seed, metavar="N",
+    p_tune.add_argument("--tune-seed", default=str(TuneSpec.seed), metavar="N",
                         help="master seed for the trial sampler")
     return parser
 
@@ -78,27 +85,28 @@ def main(argv: list[str] | None = None) -> int:
             report = harness.evaluate(
                 args.checkpoint,
                 env_id=args.env,
-                n_episodes=args.episodes,
-                seed_base=args.seed,
+                n_episodes=_number(args, "episodes", parse_int),
+                seed_base=_number(args, "seed", parse_int),
                 deterministic=not args.stochastic,
                 out_dir=args.out,
             )
             print(f"episodes: {len(report.per_episode_rewards)}  "
                   f"mean reward: {report.mean:.2f}  std: {report.std:.2f}")
         elif args.command == "compare":
-            rows = harness.compare(args.baseline_dir, args.variant_dir, args.alpha, args.out)
+            rows = harness.compare(args.baseline_dir, args.variant_dir,
+                                   _number(args, "alpha", parse_float), args.out)
             print(harness.format_comparison(rows))
         elif args.command == "tune":
             config = load_run_config(args.config, _flag_overrides(args))
-            trial_steps = args.trial_timesteps
+            trial_steps = _number(args, "trial_timesteps", parse_int)
             if trial_steps is None:
                 trial_steps = 50_000 if config.env_id == "mountain_car_continuous" else 100_000
             spec = TuneSpec(
-                n_trials=args.trials,
-                bound=args.bound,
+                n_trials=_number(args, "trials", parse_int),
+                bound=_number(args, "bound", parse_float),
                 trial_timesteps=trial_steps,
-                eval_episodes=args.episodes,
-                seed=args.tune_seed,
+                eval_episodes=_number(args, "episodes", parse_int),
+                seed=_number(args, "tune_seed", parse_int),
             )
             out_dir = args.out or "tune_out"
             result = harness.tune(spec, config, out_dir)

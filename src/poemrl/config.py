@@ -90,14 +90,14 @@ def _field(key: str) -> str:
     return "env_id" if key == "env" else key  # the one key not named as its field
 
 
-def _parse_int(raw: str, where: str) -> int:
+def parse_int(raw: str, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected integer, got {raw!r}") from None
 
 
-def _parse_float(raw: str, where: str) -> float:
+def parse_float(raw: str, where: str) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -116,11 +116,11 @@ def _parse_str(raw: str, where: str) -> str:
 
 # one parser per field type, each reporting errors as <section>.<key>
 _PARSERS = {
-    int: _parse_int,
-    float: _parse_float,
-    float | None: lambda raw, where: None if raw.lower() in ("none", "off") else _parse_float(raw, where),
+    int: parse_int,
+    float: parse_float,
+    float | None: lambda raw, where: None if raw.lower() in ("none", "off") else parse_float(raw, where),
     tuple[int, ...]: lambda raw, where: tuple(
-        _parse_int(part.strip(), where) for part in raw.split(",") if part.strip()),
+        parse_int(part.strip(), where) for part in raw.split(",") if part.strip()),
     str: _parse_str,
 }
 

@@ -84,11 +84,12 @@ class MountainCarContinuous:
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("episode finished; call reset()")
-        a = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0], -1.0, 1.0))
+        # min(max(x, lo), hi) keeps NaN as NaN, as np.clip does
+        a = min(max(float(np.asarray(action, dtype=np.float64).reshape(-1)[0]), -1.0), 1.0)
         self._vel += a * self.POWER - self.GRAVITY_SCALE * math.cos(3.0 * self._pos)
-        self._vel = float(np.clip(self._vel, -self.MAX_SPEED, self.MAX_SPEED))
+        self._vel = min(max(self._vel, -self.MAX_SPEED), self.MAX_SPEED)
         self._pos += self._vel
-        self._pos = float(np.clip(self._pos, self.MIN_POSITION, self.MAX_POSITION))
+        self._pos = min(max(self._pos, self.MIN_POSITION), self.MAX_POSITION)
         if self._pos == self.MIN_POSITION and self._vel < 0.0:
             self._vel = 0.0
         self._steps += 1

@@ -175,11 +175,20 @@ def _metrics_row(update: int, global_step: int, k: int, bd: ppo.LossBreakdown,
     return row
 
 
+def _empty_out_dir(path: str | Path) -> Path:
+    """Create the out dir, refusing one with files in it: compare would pick up
+    an earlier run's stale checkpoints along with this run's."""
+    out_dir = Path(path)
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise ValueError(f"out dir {out_dir} is not empty")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def train(config: RunConfig) -> TrainResult:
     """Run one seeded training run to its timestep budget, persisting
     config snapshot, metrics CSV, and checkpoints."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _empty_out_dir(config.out_dir)
     config_path = out_dir / "config.ini"
     config_path.write_text(config_to_text(config), encoding="utf-8")
     metrics_path = out_dir / "metrics.csv"
@@ -421,8 +430,7 @@ def tune(spec: TuneSpec, base_config: RunConfig, out_dir: str | Path) -> TuneRes
     deterministic evaluation; failed trials score -inf and the search
     continues. Ties keep the earliest trial.
     """
-    out_root = Path(out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = _empty_out_dir(out_dir)
     rng = np.random.default_rng(spec.seed)
     eval_seed_base = 900_000 + spec.seed
 

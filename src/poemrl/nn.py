@@ -191,6 +191,11 @@ def collect_leaf_grads(leaves: dict[str, Tensor], layout: tuple[LayoutEntry, ...
 # ---- Adam -----------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments for one flat parameter vector."""
@@ -199,17 +204,13 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(n_params: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
+def init_adam(n_params: int, lr: float = 1e-3) -> AdamState:
     return AdamState(
         first_moment=np.zeros(n_params, dtype=np.float64),
         second_moment=np.zeros(n_params, dtype=np.float64),
-        lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
+        lr=lr,
     )
 
 
@@ -218,10 +219,9 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[A
     if params.shape != grad.shape or params.shape != state.first_moment.shape:
         raise ValueError("parameter, gradient, and moment shapes must match")
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.epsilon)
-    return new_state, new_params
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return AdamState(m, v, t, state.lr), new_params

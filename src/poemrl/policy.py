@@ -159,19 +159,6 @@ def sample(dist: DiagGaussian | Categorical, rng: np.random.Generator, determini
     return int(np.searchsorted(np.cumsum(dist.probs), u, side="right").clip(0, len(dist.probs) - 1))
 
 
-def log_prob(dist: DiagGaussian | Categorical, action) -> float:
-    if isinstance(dist, DiagGaussian):
-        a = np.asarray(action, dtype=np.float64)
-        if a.shape != dist.mean.shape:
-            raise ValueError(f"action shape {a.shape} does not match {dist.mean.shape}")
-        z = (a - dist.mean) / dist.std
-        return float(-0.5 * LOG_2PI * a.size - np.log(dist.std).sum() - 0.5 * (z * z).sum())
-    idx = int(action)
-    if not 0 <= idx < len(dist.probs):
-        raise ValueError(f"action index {idx} out of range for {len(dist.probs)} actions")
-    return float(np.log(dist.probs[idx]))
-
-
 def value(ac: ActorCritic, obs) -> float:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (ac.obs_dim(),):

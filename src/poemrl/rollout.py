@@ -70,7 +70,9 @@ def collect(
 
     Returns the batch and the observation to resume from next call. The env
     must have been reset (seeded) already when obs is passed; with obs=None
-    a fresh episode is started from the env's internal generator.
+    a fresh episode is started from the env's internal generator. Only the
+    actor runs inside the step loop; pi_old(a|s) and V of every stored state
+    come from one batched pass each once the loop is done.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -83,55 +85,45 @@ def collect(
         act_buf = np.empty((n_steps, ac.head.action_dim), dtype=np.float64)
     else:
         act_buf = np.empty(n_steps, dtype=np.int64)
-    logp_buf = np.empty(n_steps, dtype=np.float64)
     rew_buf = np.empty(n_steps, dtype=np.float64)
-    val_buf = np.empty(n_steps, dtype=np.float64)
     term_buf = np.zeros(n_steps, dtype=bool)
     trunc_buf = np.zeros(n_steps, dtype=bool)
-    next_val_buf = np.zeros(n_steps, dtype=np.float64)
+    cut_off = []  # states where a time limit ended an episode, in step order
 
     for t in range(n_steps):
-        dist = pol.distribution(ac, obs)
-        action = pol.sample(dist, rng)
-        logp = pol.log_prob(dist, action)
-
+        action = pol.sample(pol.distribution(ac, obs), rng)
         obs_buf[t] = obs
         act_buf[t] = action
-        logp_buf[t] = logp
-        val_buf[t] = pol.value(ac, obs)
 
         result = env.step(action)
         rew_buf[t] = result.reward
         term_buf[t] = result.terminated
         trunc_buf[t] = result.truncated
 
-        if result.terminated:
-            next_val_buf[t] = 0.0
-            obs = env.reset()
-        elif result.truncated:
-            # time limit: bootstrap from the state the episode stopped in
-            next_val_buf[t] = pol.value(ac, result.obs)
+        if result.terminated or result.truncated:
+            if not result.terminated:
+                cut_off.append(result.obs)
             obs = env.reset()
         else:
             obs = result.obs
 
-    bootstrap = pol.value(ac, obs)
-    for t in range(n_steps - 1):
-        if not (term_buf[t] or trunc_buf[t]):
-            next_val_buf[t] = val_buf[t + 1]
-    if not (term_buf[-1] or trunc_buf[-1]):
-        next_val_buf[-1] = bootstrap
+    # rows: the stored states, the cut-off states, then the state to resume from
+    val = pol.values_batch(ac, np.vstack([obs_buf, *cut_off, obs]))
+    next_val = np.append(val[1:n_steps], val[-1])
+    # time limit: bootstrap from the state the episode stopped in, not the reset one
+    next_val[trunc_buf & ~term_buf] = val[n_steps:-1]
+    next_val[term_buf] = 0.0
 
     batch = RolloutBatch(
         obs=obs_buf,
         actions=act_buf,
-        log_probs_old=logp_buf,
+        log_probs_old=pol.logp_batch(ac, obs_buf, act_buf),
         rewards=rew_buf,
-        values_old=val_buf,
+        values_old=val[:n_steps],
         terminated=term_buf,
         truncated=trunc_buf,
-        next_values=next_val_buf,
-        bootstrap_value=float(bootstrap),
+        next_values=next_val,
+        bootstrap_value=float(val[-1]),
     )
     return batch, obs
 

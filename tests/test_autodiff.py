@@ -7,6 +7,7 @@ from poemrl import autodiff as ad
 from poemrl.autodiff import Tensor
 from poemrl.policy import LOG_STD_MAX, LOG_STD_MIN
 
+import tape_ops as ops
 from conftest import central_diff, max_rel_err
 
 
@@ -27,12 +28,12 @@ def fd_of(build, x0, shape):
 
 CASES = [
     ("add_mul", lambda t: ad.tsum(ad.mul(ad.add(t, 2.0), t))),
-    ("div", lambda t: ad.tsum(ad.div(1.0, ad.add(ad.square(t), 1.0)))),
+    ("div", lambda t: ad.tsum(ops.div(1.0, ad.add(ad.square(t), 1.0)))),
     ("tanh_exp", lambda t: ad.tsum(ad.exp(ad.tanh(t)))),
     ("log", lambda t: ad.tsum(ad.log(ad.add(ad.square(t), 0.5)))),
     ("mean_axis", lambda t: ad.tsum(ad.tmean(ad.square(t), axis=0))),
     ("clip", lambda t: ad.tsum(ad.square(ad.clip(t, -0.5, 0.5)))),
-    ("minimum", lambda t: ad.tsum(ad.minimum(t, ad.square(t)))),
+    ("minimum", lambda t: ad.tsum(ops.minimum(t, ad.square(t)))),
 ]
 
 
@@ -48,15 +49,15 @@ def test_matmul_gradients(rng):
     a0 = rng.normal(size=(3, 4))
     b0 = rng.normal(size=(4, 2))
     a, b = Tensor(a0), Tensor(b0)
-    out = ad.tsum(ad.square(ad.matmul(a, b)))
+    out = ad.tsum(ad.square(ops.matmul(a, b)))
     out.backward()
 
     fd_a = central_diff(
-        lambda f: float(ad.tsum(ad.square(ad.matmul(Tensor(f.reshape(3, 4)), Tensor(b0)))).data),
+        lambda f: float(ad.tsum(ad.square(ops.matmul(Tensor(f.reshape(3, 4)), Tensor(b0)))).data),
         a0.ravel(),
     ).reshape(3, 4)
     fd_b = central_diff(
-        lambda f: float(ad.tsum(ad.square(ad.matmul(Tensor(a0), Tensor(f.reshape(4, 2))))).data),
+        lambda f: float(ad.tsum(ad.square(ops.matmul(Tensor(a0), Tensor(f.reshape(4, 2))))).data),
         b0.ravel(),
     ).reshape(4, 2)
     assert max_rel_err(a.grad, fd_a) < 1e-6
@@ -98,7 +99,7 @@ def test_logsumexp_matches_softmax_gradient(rng):
 
 def test_minimum_tie_prefers_first_argument():
     a, b = Tensor(np.array([1.0])), Tensor(np.array([1.0]))
-    ad.tsum(ad.minimum(a, b)).backward()
+    ad.tsum(ops.minimum(a, b)).backward()
     assert a.grad[0] == 1.0 and b.grad[0] == 0.0
 
 
@@ -129,12 +130,12 @@ def test_backward_requires_scalar():
 
 
 def linear_ref(x, w, b):
-    return ad.add(ad.matmul(x if isinstance(x, Tensor) else ad.constant(x), w), b)
+    return ad.add(ops.matmul(x if isinstance(x, Tensor) else ad.constant(x), w), b)
 
 
 def gaussian_logp_ref(mean, log_std, actions):
     d = log_std.data.size
-    z = ad.div(ad.add(ad.constant(actions), ad.mul(mean, -1.0)), ad.exp(log_std))
+    z = ops.div(ad.add(ad.constant(actions), ad.mul(mean, -1.0)), ad.exp(log_std))
     return ad.add(
         ad.mul(ad.tsum(ad.square(z), axis=1), -0.5),
         ad.add(ad.mul(ad.tsum(log_std), -1.0), ad.constant(-0.5 * ad.LOG_2PI * d)),
@@ -144,7 +145,7 @@ def gaussian_logp_ref(mean, log_std, actions):
 def clipped_surrogate_ref(logp, logp_old, adv, clip_epsilon):
     ratio = ad.exp(ad.add(logp, ad.constant(-logp_old)))
     a = ad.constant(adv)
-    surrogate = ad.minimum(
+    surrogate = ops.minimum(
         ad.mul(ratio, a), ad.mul(ad.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon), a)
     )
     return ad.mul(ad.tmean(surrogate), -1.0)

@@ -78,6 +78,39 @@ class TestMountainCar:
         assert big.obs[1] == one.obs[1]
         assert big.reward == one.reward
 
+    def test_step_matches_the_np_clip_formula(self, rng):
+        # the dynamics as written with np.clip; step must give the same bits,
+        # NaN and signed zeros included
+        car = MountainCarContinuous
+
+        def reference(pos, vel, action):
+            a = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0], -1.0, 1.0))
+            vel += a * car.POWER - car.GRAVITY_SCALE * math.cos(3.0 * pos)
+            vel = float(np.clip(vel, -car.MAX_SPEED, car.MAX_SPEED))
+            pos += vel
+            pos = float(np.clip(pos, car.MIN_POSITION, car.MAX_POSITION))
+            if pos == car.MIN_POSITION and vel < 0.0:
+                vel = 0.0
+            terminated = pos >= car.GOAL_POSITION
+            return pos, vel, -0.1 * a * a + (100.0 if terminated else 0.0), terminated
+
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+        # math.cos rejects an infinite position; clipping keeps it from arising
+        positions = [math.nan, 0.0, -0.0, car.MIN_POSITION, car.MAX_POSITION, car.GOAL_POSITION, math.pi / 6]
+        velocities = special + [car.MAX_SPEED, -car.MAX_SPEED]
+        actions = special + [1.0, -1.0]
+        env = car()
+        env.reset(seed=0)
+        for _ in range(3000):
+            pos = rng.choice(positions) if rng.random() < 0.3 else rng.uniform(-1.4, 0.8)
+            vel = rng.choice(velocities) if rng.random() < 0.3 else rng.uniform(-0.1, 0.1)
+            action = rng.choice(actions) if rng.random() < 0.3 else rng.uniform(-1.5, 1.5)
+            env._pos, env._vel, env._steps, env._done = float(pos), float(vel), 0, False
+            r = env.step(np.array([action]))
+            expected = reference(float(pos), float(vel), [action])
+            got = (float(r.obs[0]), float(r.obs[1]), r.reward, r.terminated)
+            assert repr(got) == repr(expected), (pos, vel, action)
+
     def test_bounds_hold_under_random_actions(self, rng):
         env = MountainCarContinuous()
         env.reset(seed=11)

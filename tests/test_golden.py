@@ -16,14 +16,14 @@ from poemrl.config import load_run_config
 GOLDEN_FILES = ("checkpoint_final.bin", "metrics.csv", "episodes.csv", "steps.csv")
 GOLDEN_SHA256 = {
     "mountain_car_continuous": (
-        "70dfff9bb32f7de2b369dd8d5bea2a4cd4945ced9b04da9d9fcde70ba416234e",
-        "2cd25a2aec20a5d3bfb5a5244224365f2d4addc30e67842f40f08f336d94fd61",
-        "ff1a35b81ff96d177d62ec5a0a7d9abc9003c9b19e8d72ed77756adcd63981be",
-        "67081665f07a23c654cefc1e73c5454863f1ad2211de3ed16db386e684e6c1f8",
+        "3ad752c840df8ad18c8aef1a0a214f3ff30c6a3fcd909a8db12baae140d4c154",
+        "46849c43e72bf446931a4c61c68392c6929d0c62aeade39ab1ffd906874a63db",
+        "a5f52930ece634a6779f3ddb2f8cd0988d93611890dd24c71f046c261c2d43da",
+        "83e4ab70cb612fb42845e462368d223381bacac0ec2b67d33c8b699d1ebfc749",
     ),
     "sparse_lander": (
-        "6762c8a750824a97d3fcfd82593b5816935c8db394db006dc0bda03f51ae450c",
-        "d159855cf2562c577b72178c555d2b65b2079b03ad7413ec318b6d89da2e1785",
+        "7ad0d0876298fb568737603f28557ae6099f51427e40e148e680bf2c5b76f5f0",
+        "138f0548ee2ff91d609841976f4cae2c5b4a0b51fad8f2063a68b9b4ea296765",
         "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
         "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
     ),

@@ -183,6 +183,15 @@ class TestTrain:
         assert (result.out_dir / "checkpoint_00002.bin").exists()
         assert (result.out_dir / "checkpoint_00004.bin").exists()
 
+    def test_non_empty_out_dir_is_refused(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        stale = tmp_path / "poem_s1" / "checkpoint_00010.bin"
+        stale.parent.mkdir()
+        stale.write_bytes(b"an earlier run")
+        with pytest.raises(ValueError, match="poem_s1"):
+            train(cfg)
+        assert [p.name for p in stale.parent.iterdir()] == [stale.name]
+
     def test_run_many_matches_sequential(self, tmp_path):
         cfgs = [tiny_config(tmp_path / "p", seed=s) for s in (1, 2)]
         seq = [train(tiny_config(tmp_path / "s", seed=s)) for s in (1, 2)]
@@ -389,14 +398,46 @@ class TestCli:
                                    capsys)
         assert "poem.delta: expected a finite number, got 'inf'" in err
 
-    @pytest.mark.parametrize("alpha", ["2.0", "-0.1", "nan"])
+    @pytest.mark.parametrize("alpha, named", [
+        pytest.param("2.0", "alpha must be in [0, 1], got 2.0", id="2.0"),
+        pytest.param("-0.1", "alpha must be in [0, 1], got -0.1", id="-0.1"),
+        pytest.param("nan", "--alpha: expected a finite number, got 'nan'", id="nan"),
+    ])
     def test_cli_compare_alpha_outside_unit_interval_is_a_one_line_error(self, tmp_path, capsys,
-                                                                        alpha):
+                                                                        alpha, named):
         set_a, set_b = tmp_path / "a", tmp_path / "b"
         synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0, 2.0, 3.0])
         synthetic_run_set(set_b, "poem", "sparse_lander", [1.5, 2.5, 3.0])
         err = self._one_line_error(["compare", str(set_a), str(set_b), "--alpha", alpha], capsys)
-        assert "alpha must be in [0, 1]" in err
+        assert named in err
+
+    BAD_FLAG_VALUES = [
+        (["evaluate", "x.bin"], "--episodes", "abc", "expected integer"),
+        (["evaluate", "x.bin"], "--seed", "1.5", "expected integer"),
+        (["compare", "a", "b"], "--alpha", "abc", "expected a finite number"),
+        (["tune"], "--trials", "x", "expected integer"),
+        (["tune"], "--bound", "inf", "expected a finite number"),
+        (["tune"], "--trial-timesteps", "5e4", "expected integer"),
+        (["tune"], "--episodes", "two", "expected integer"),
+        (["tune"], "--tune-seed", "abc", "expected integer"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, value, named", BAD_FLAG_VALUES,
+                             ids=[f"{argv[0]}{flag}" for argv, flag, _, _ in BAD_FLAG_VALUES])
+    def test_cli_bad_flag_value_is_a_one_line_error(self, tmp_path, capsys, argv, flag, value, named):
+        err = self._one_line_error([*argv, flag, value, "--out", str(tmp_path / "x")], capsys)
+        assert f"{flag}: {named}, got {value!r}" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [["train"], ["tune", "--trials", "1", "--trial-timesteps", "512"]],
+                             ids=["train", "tune"])
+    def test_cli_non_empty_out_dir_is_a_one_line_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "checkpoint_00010.bin").write_bytes(b"an earlier run")
+        err = self._one_line_error([*argv, "--timesteps", "512", "--out", str(out)], capsys)
+        assert f"out dir {out} is not empty" in err
+        assert [p.name for p in out.iterdir()] == ["checkpoint_00010.bin"]
 
     def test_cli_tune_smoke(self, tmp_path):
         rc = cli.main([

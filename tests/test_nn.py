@@ -7,6 +7,7 @@ from poemrl import autodiff as ad
 from poemrl import nn
 from poemrl.nn import MlpSpec, ParamVector
 
+import tape_ops as ops
 from conftest import central_diff, max_rel_err
 
 
@@ -149,7 +150,7 @@ class TestGradient:
             w = rng.normal(size=sizes[-1])
 
             def loss_fn(out):
-                return ad.tmean(ad.square(ad.tanh(ad.matmul(out, ad.constant(w[:, None])))))
+                return ad.tmean(ad.square(ad.tanh(ops.matmul(out, ad.constant(w[:, None])))))
 
             analytic = tape_gradient(spec, pv, x, loss_fn).data
 

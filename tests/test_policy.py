@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from poemrl import nn, policy as pol
 from poemrl.policy import ActorCritic, Categorical, DiagGaussian, DiagGaussianHead
@@ -72,37 +73,48 @@ class TestSample:
         assert np.allclose(counts, c.probs, atol=0.05)
 
 
+def closed_form_logp(dist: DiagGaussian | Categorical, action) -> float:
+    """Reference log pi(a|s) from the distribution's mean/std or probs."""
+    if isinstance(dist, DiagGaussian):
+        return float(stats.norm.logpdf(action, dist.mean, dist.std).sum())
+    return math.log(dist.probs[action])
+
+
+def gaussian_ac(mean: float, std: float) -> ActorCritic:
+    """A one-action Gaussian policy with the given state-independent mean and std."""
+    ac = zeroed(make_gaussian_ac())
+    ac.actor_layers[-1][1][:] = mean
+    ac.log_std[:] = math.log(std)
+    return ac
+
+
 class TestLogProb:
     def test_standard_normal_at_zero(self):
-        g = DiagGaussian(mean=np.array([0.0]), std=np.array([1.0]))
-        assert abs(pol.log_prob(g, [0.0]) - (-0.9189385)) < 1e-6
+        ac = zeroed(make_gaussian_ac())
+        assert abs(pol.logp_batch(ac, np.zeros((1, 2)), np.array([[0.0]]))[0] - (-0.9189385)) < 1e-6
 
     def test_standard_normal_at_one(self):
-        g = DiagGaussian(mean=np.array([0.0]), std=np.array([1.0]))
-        assert abs(pol.log_prob(g, [1.0]) - (-1.4189385)) < 1e-6
+        ac = zeroed(make_gaussian_ac())
+        assert abs(pol.logp_batch(ac, np.zeros((1, 2)), np.array([[1.0]]))[0] - (-1.4189385)) < 1e-6
 
     def test_uniform_categorical(self):
-        c = Categorical(probs=np.full(4, 0.25))
+        ac = zeroed(make_categorical_ac(n_actions=4))
+        logps = pol.logp_batch(ac, np.ones((4, 2)), np.arange(4))
         for a in range(4):
-            assert abs(pol.log_prob(c, a) - math.log(0.25)) < 1e-12
-
-    def test_categorical_out_of_range_rejected(self):
-        c = Categorical(probs=np.full(4, 0.25))
-        with pytest.raises(ValueError):
-            pol.log_prob(c, 4)
+            assert abs(logps[a] - math.log(0.25)) < 1e-12
 
     def test_gaussian_normalizes_by_quadrature(self):
-        g = DiagGaussian(mean=np.array([0.3]), std=np.array([1.7]))
+        ac = gaussian_ac(0.3, 1.7)
         xs = np.linspace(0.3 - 8 * 1.7, 0.3 + 8 * 1.7, 20001)
-        dens = np.array([math.exp(pol.log_prob(g, [x])) for x in xs])
+        dens = np.exp(pol.logp_batch(ac, np.zeros((len(xs), 2)), xs[:, None]))
         integral = np.trapezoid(dens, xs)
         assert abs(integral - 1.0) <= 1e-6
 
     def test_categorical_mass_sums_to_one(self, rng):
         ac = make_categorical_ac(n_actions=6, seed=1)
         ac.params.data[:] = rng.normal(size=len(ac.params))
-        dist = pol.distribution(ac, rng.normal(size=2))
-        total = sum(math.exp(pol.log_prob(dist, a)) for a in range(6))
+        obs = np.tile(rng.normal(size=2), (6, 1))
+        total = sum(math.exp(lp) for lp in pol.logp_batch(ac, obs, np.arange(6)))
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -121,13 +133,11 @@ class TestEntropy:
         assert pol.entropy_mean(ac, np.ones((3, 2))) == 0.0
 
     def test_gaussian_entropy_matches_monte_carlo(self):
-        ac = zeroed(make_gaussian_ac())
-        ac.actor_layers[-1][1][:] = 0.5
-        ac.log_std[:] = math.log(0.8)
+        ac = gaussian_ac(0.5, 0.8)
         g = pol.distribution(ac, [0.0, 0.0])
         rng = np.random.default_rng(42)
         samples = g.mean + g.std * rng.standard_normal((100_000, 1))
-        logps = np.array([pol.log_prob(g, s) for s in samples[:: 1]])
+        logps = pol.logp_batch(ac, np.zeros((len(samples), 2)), samples)
         est = -logps.mean()
         se = logps.std(ddof=1) / math.sqrt(len(logps))
         assert abs(est - pol.entropy_mean(ac, np.zeros((1, 2)))) <= 3 * se
@@ -163,7 +173,7 @@ class TestBatchPaths:
             else:
                 actions = rng.integers(0, ac.head.n_actions, size=6)
             batch = pol.logp_batch(ac, obs, actions)
-            singles = [pol.log_prob(pol.distribution(ac, o), a) for o, a in zip(obs, actions)]
+            singles = [closed_form_logp(pol.distribution(ac, o), a) for o, a in zip(obs, actions)]
             assert np.allclose(batch, singles, atol=1e-12)
 
     def test_values_batch_matches_per_sample(self, rng):

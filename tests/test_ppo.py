@@ -11,6 +11,7 @@ from poemrl import policy as pol
 from poemrl.ppo import LossBreakdown, PpoConfig
 from poemrl.rollout import Minibatch
 
+import tape_ops as ops
 from conftest import central_diff, make_categorical_ac, make_gaussian_ac, max_rel_err
 
 
@@ -64,8 +65,8 @@ class TestClippedSurrogate:
         logp_leaf = ad.Tensor(np.array([1.0, 0.0, 1.0]))  # ratios e, 1, e
         ratio = ad.exp(ad.add(logp_leaf, ad.constant(-logp_old)))
         clipped = ad.clip(ratio, 0.8, 1.2)
-        loss = ad.mul(ad.tmean(ad.minimum(ad.mul(ratio, ad.constant(adv)),
-                                          ad.mul(clipped, ad.constant(adv)))), -1.0)
+        loss = ad.mul(ad.tmean(ops.minimum(ad.mul(ratio, ad.constant(adv)),
+                                           ad.mul(clipped, ad.constant(adv)))), -1.0)
         loss.backward()
         # sample 0: adv>0, ratio clipped above -> flat; sample 1: unclipped;
         # sample 2: adv<0 keeps the unclipped branch (pessimistic min) -> live

@@ -7,7 +7,7 @@ from poemrl import policy as pol
 from poemrl.envs import ContinuousSpace, StepResult
 from poemrl.rollout import RolloutBatch, collect, compute_gae
 
-from conftest import make_gaussian_ac
+from conftest import make_categorical_ac, make_gaussian_ac
 
 
 class OneStepEnv:
@@ -47,6 +47,36 @@ class DriftEnv:
         return StepResult(np.array([self.t * 0.01, -self.t * 0.01]), 0.5, False, False, {})
 
 
+class CutOffEnv:
+    """Hits a time limit every `limit` steps of an episode and terminates at
+    the given global steps; every observation is distinct, and every step
+    result is recorded."""
+
+    observation_dim = 2
+    action_space = ContinuousSpace(1, -1.0, 1.0)
+
+    def __init__(self, limit, terminate_at):
+        self.limit = limit
+        self.terminate_at = set(terminate_at)
+        self.total = 0
+        self.t = 0
+        self.resets = 0
+        self.results = []
+
+    def reset(self, seed=None):
+        self.resets += 1
+        self.t = 0
+        return np.array([-0.5, 0.1 * self.resets])
+
+    def step(self, action):
+        self.total += 1
+        self.t += 1
+        obs = np.array([0.1 * self.t + 0.01 * self.total, -0.05 * self.total])
+        result = StepResult(obs, 1.0, self.total in self.terminate_at, self.t >= self.limit, {})
+        self.results.append(result)
+        return result
+
+
 def batch_from(rewards, values, terminated=None, truncated=None, bootstrap=0.0, next_values=None):
     n = len(rewards)
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -77,9 +107,10 @@ class TestCollect:
     def test_single_step_records_value(self):
         ac = make_gaussian_ac(seed=1)
         env = OneStepEnv()
-        batch, _ = collect(env, ac, 1, np.random.default_rng(0))
+        batch, obs = collect(env, ac, 1, np.random.default_rng(0))
         assert len(batch) == 1
-        assert batch.values_old[0] == pol.value(ac, batch.obs[0])
+        # the rows collect stacks: the stored state, then the state to resume from
+        assert batch.values_old[0] == pol.values_batch(ac, np.vstack([batch.obs, obs]))[0]
 
     def test_replay_identical(self):
         ac = make_gaussian_ac(seed=2)
@@ -102,11 +133,43 @@ class TestCollect:
             collect(OneStepEnv(), make_gaussian_ac(), 0, np.random.default_rng(0))
 
     def test_stored_log_probs_match_policy(self):
-        ac = make_gaussian_ac(seed=4)
-        batch, _ = collect(DriftEnv(), ac, 8, np.random.default_rng(2), DriftEnv().reset())
-        for i in range(8):
-            dist = pol.distribution(ac, batch.obs[i])
-            assert abs(batch.log_probs_old[i] - pol.log_prob(dist, batch.actions[i])) < 1e-12
+        for make in (make_gaussian_ac, make_categorical_ac):
+            ac = make(seed=4)
+            batch, _ = collect(DriftEnv(), ac, 8, np.random.default_rng(2), DriftEnv().reset())
+            assert np.array_equal(batch.log_probs_old, pol.logp_batch(ac, batch.obs, batch.actions))
+
+    # 14 steps end on a step that is both terminated and cut off, 18 on a
+    # cut-off step, 19 on an ordinary step
+    @pytest.mark.parametrize("n_steps", [14, 18, 19])
+    def test_bootstrap_values_follow_episode_ends(self, n_steps):
+        ac = make_gaussian_ac(seed=5)
+        env = CutOffEnv(limit=4, terminate_at=(6, 14))
+        batch, obs = collect(env, ac, n_steps, np.random.default_rng(3), env.reset())
+        results = env.results
+        assert [r.terminated for r in results] == batch.terminated.tolist()
+        assert [r.truncated for r in results] == batch.truncated.tolist()
+        assert batch.truncated.sum() >= 3 and batch.terminated.sum() >= 1
+
+        cut_off = [r.obs for r in results if r.truncated and not r.terminated]
+        values = pol.values_batch(ac, np.vstack([batch.obs, *cut_off, obs]))
+        assert np.array_equal(batch.values_old, values[:n_steps])
+        assert batch.bootstrap_value == values[-1]
+        cut_off_values = iter(values[n_steps:-1])
+        for t, r in enumerate(results):
+            if r.terminated:
+                expected = 0.0
+            elif r.truncated:
+                expected = next(cut_off_values)
+                # the value of the state the episode stopped in, not the reset one
+                assert abs(expected - pol.value(ac, r.obs)) <= 1e-12
+                if t + 1 < n_steps:
+                    assert batch.next_values[t] != batch.values_old[t + 1]
+            elif t + 1 < n_steps:
+                expected = batch.values_old[t + 1]
+            else:
+                expected = batch.bootstrap_value
+            assert batch.next_values[t] == expected, t
+        assert next(cut_off_values, None) is None
 
 
 class TestComputeGae:
