@@ -37,6 +37,13 @@ def _number(args: argparse.Namespace, name: str, parse):
     return None if raw is None else parse(raw, "--" + name.replace("_", "-"))
 
 
+def _parse_seed(raw: str, where: str) -> int:
+    seed = parse_int(raw, where)
+    if seed < 0:  # checked here, so the error names the flag rather than numpy's seeding
+        raise ConfigError(f"{where}: expected a non-negative integer, got {raw!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="poemrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
                 args.checkpoint,
                 env_id=args.env,
                 n_episodes=_number(args, "episodes", parse_int),
-                seed_base=_number(args, "seed", parse_int),
+                seed_base=_number(args, "seed", _parse_seed),
                 deterministic=not args.stochastic,
                 out_dir=args.out,
             )
@@ -106,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                 bound=_number(args, "bound", parse_float),
                 trial_timesteps=trial_steps,
                 eval_episodes=_number(args, "episodes", parse_int),
-                seed=_number(args, "tune_seed", parse_int),
+                seed=_number(args, "tune_seed", _parse_seed),
             )
             out_dir = args.out or "tune_out"
             result = harness.tune(spec, config, out_dir)

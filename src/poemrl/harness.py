@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -88,6 +90,23 @@ def validate_compatible(ac: ActorCritic, env) -> None:
         raise ValueError("checkpoint head does not match the discrete action space")
 
 
+# ---- output files ----------------------------------------------------------
+
+
+@contextmanager
+def _atomic_open(path: Path, mode: str, **kwargs):
+    """Write a temp file beside path and move it into place when the block
+    ends, so a failed or killed write never leaves a partial file behind. The
+    temp name matches neither `*.bin` nor `episodes.csv`."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 # ---- checkpoints -----------------------------------------------------------
 
 
@@ -103,7 +122,7 @@ def save_checkpoint(path: str | Path, ac: ActorCritic, env_id: str, algo: str) -
         "obs_scale": [float(s) for s in ac.obs_scale],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_open(Path(path), "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -190,7 +209,8 @@ def train(config: RunConfig) -> TrainResult:
     config snapshot, metrics CSV, and checkpoints."""
     out_dir = _empty_out_dir(config.out_dir)
     config_path = out_dir / "config.ini"
-    config_path.write_text(config_to_text(config), encoding="utf-8")
+    with _atomic_open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(config_to_text(config))
     metrics_path = out_dir / "metrics.csv"
     final_path = out_dir / "checkpoint_final.bin"
 
@@ -280,7 +300,7 @@ def evaluate(
     out_dir.mkdir(parents=True, exist_ok=True)
     run_id = out_dir.name
     algo = header["algo"]
-    with open(out_dir / "episodes.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out_dir / "episodes.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EPISODES_COLUMNS)
         for i in range(n_episodes):
@@ -288,7 +308,7 @@ def evaluate(
                 algo, env_id, run_id, i, report.seeds[i],
                 repr(float(report.per_episode_rewards[i])), int(report.per_episode_steps[i]),
             ])
-    with open(out_dir / "steps.csv", "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(out_dir / "steps.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(STEPS_COLUMNS)
         for i, series in enumerate(report.step_series):

@@ -125,25 +125,29 @@ def _features(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-# ---- per-observation distribution API ------------------------------------
+# ---- acting: one distribution per observation ----------------------------
 
 
-def distribution(ac: ActorCritic, obs) -> DiagGaussian | Categorical:
-    """The action distribution pi(.|obs) under the current parameters."""
+def distribution(ac: ActorCritic, obs) -> list[DiagGaussian] | list[Categorical]:
+    """The action distributions pi(.|obs_i) of an (E, obs_dim) batch under the
+    current parameters. The actor runs once on the stacked (E, 1, obs_dim)
+    input, so each row rounds exactly as a one-row pass would; a 2-D
+    (E, obs_dim) pass would not."""
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (ac.obs_dim(),):
-        raise ValueError(f"obs shape {obs.shape} does not match input size {ac.obs_dim()}")
-    out = nn.forward_batch(ac.actor_layers, _features(ac, obs[None, :]))[0]
+    if obs.ndim != 2 or obs.shape[1] != ac.obs_dim():
+        raise ValueError(f"obs shape {obs.shape} does not match (E, {ac.obs_dim()})")
+    out = nn.forward_batch(ac.actor_layers, _features(ac, obs[:, None, :]))[:, 0]
     if not np.all(np.isfinite(out)):
         raise NumericalError("actor network produced non-finite output")
     if isinstance(ac.head, DiagGaussianHead):
-        return DiagGaussian(mean=out, std=np.exp(np.clip(ac.log_std, LOG_STD_MIN, LOG_STD_MAX)))
-    return Categorical(probs=_softmax_rows(out[None, :])[0])
+        std = np.exp(np.clip(ac.log_std, LOG_STD_MIN, LOG_STD_MAX))
+        return [DiagGaussian(mean=mean, std=std) for mean in out]
+    return [Categorical(probs=probs) for probs in _softmax_rows(out)]
 
 
 def sample(dist: DiagGaussian | Categorical, rng: np.random.Generator, deterministic: bool = False):

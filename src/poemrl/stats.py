@@ -173,43 +173,46 @@ def evaluate_policy(
     deterministic: bool = True,
 ) -> EvalReport:
     """Run n_episodes, episode i seeded with seed_base + i; the deterministic
-    flag plays the distribution's mode instead of sampling."""
+    flag plays the distribution's mode instead of sampling.
+
+    The episodes run in lockstep, each with its own env and RNG: one stacked
+    actor pass per step serves every live episode, and an episode leaves the
+    live set when it ends. A callable env_or_id must return a fresh env on
+    every call."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     make = (lambda: make_env(env_or_id)) if isinstance(env_or_id, str) else env_or_id
 
-    rewards, steps, seeds, series, infos = [], [], [], [], []
-    for i in range(n_episodes):
-        seed = seed_base + i
-        env = make()
+    seeds = [seed_base + i for i in range(n_episodes)]
+    envs = [make() for _ in seeds]
+    for env in envs:
         if env.observation_dim != ac.obs_dim():
             raise ValueError(
                 f"env observations ({env.observation_dim}) do not match the "
                 f"policy input ({ac.obs_dim()})"
             )
-        obs = env.reset(seed=seed)
-        rng = np.random.default_rng(seed)
-        total = 0.0
-        cumulative = []
-        n_steps = 0
-        info = {}
-        while True:
-            dist = pol.distribution(ac, obs)
-            action = pol.sample(dist, rng, deterministic=deterministic)
-            result = env.step(action)
-            total += result.reward
-            cumulative.append(total)
-            n_steps += 1
-            obs = result.obs
-            info = result.info
+    obs = [env.reset(seed=seed) for env, seed in zip(envs, seeds)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rewards = [0.0] * n_episodes
+    series = [[] for _ in seeds]  # cumulative reward per step
+    infos = [None] * n_episodes
+
+    live = list(range(n_episodes))
+    while live:
+        dists = pol.distribution(ac, np.stack([obs[i] for i in live]))
+        still_live = []
+        for i, dist in zip(live, dists):
+            result = envs[i].step(pol.sample(dist, rngs[i], deterministic=deterministic))
+            rewards[i] += result.reward
+            series[i].append(rewards[i])
+            obs[i] = result.obs
             if result.terminated or result.truncated:
-                info = dict(info, terminated=result.terminated, truncated=result.truncated)
-                break
-        rewards.append(total)
-        steps.append(n_steps)
-        seeds.append(seed)
-        series.append(np.asarray(cumulative))
-        infos.append(info)
+                infos[i] = dict(result.info, terminated=result.terminated, truncated=result.truncated)
+            else:
+                still_live.append(i)
+        live = still_live
+    steps = [len(s) for s in series]
+    series = [np.asarray(s) for s in series]
 
     rewards_arr = np.asarray(rewards, dtype=np.float64)
     return EvalReport(

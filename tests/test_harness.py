@@ -4,11 +4,12 @@ tune, and the CLI wiring."""
 import csv
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from poemrl import cli, harness
+from poemrl import cli, harness, stats
 from poemrl.config import load_run_config
 from poemrl.envs import make_env
 from poemrl.harness import compare, derive_streams, evaluate, load_checkpoint, save_checkpoint, train
@@ -61,6 +62,23 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             evaluate(bad, n_episodes=2, out_dir=out)
         assert not (out / "episodes.csv").exists()
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        env = make_env("mountain_car_continuous")
+        ac = harness.build_actor_critic(env, (4,), param_seed=0)
+        old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+        save_checkpoint(old, ac, "mountain_car_continuous", "ppo")
+        old_bytes = old.read_bytes()
+
+        def fail(params):  # the header is written by now; the parameters never are
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.nn, "params_to_bytes", fail)
+        for path in (old, new):
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(path, ac, "mountain_car_continuous", "ppo")
+        assert old.read_bytes() == old_bytes
+        assert [p.name for p in tmp_path.iterdir()] == ["old.bin"]
 
     def test_truncated_params_rejected(self, tmp_path):
         env = make_env("mountain_car_continuous")
@@ -214,6 +232,21 @@ class TestEvaluate:
         with open(result.out_dir / "steps.csv") as fh:
             step_rows = list(csv.DictReader(fh))
         assert len(step_rows) == int(np.sum(report.per_episode_steps))
+
+    def test_failed_csv_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        result = train(tiny_config(tmp_path, algo="ppo", seed=2))
+        evaluate(result.checkpoint_path, n_episodes=2, seed_base=5)
+        before = {p.name: p.read_bytes() for p in result.out_dir.iterdir()}
+        good = stats.evaluate_policy("mountain_car_continuous", result.final_ac, 2, seed_base=6)
+        # the second episode's reward cannot be written, so episodes.csv fails partway
+        bad = replace(good, per_episode_rewards=np.array([1.0, object()], dtype=object))
+        monkeypatch.setattr(harness.stats, "evaluate_policy", lambda *args: bad)
+        with pytest.raises(TypeError):
+            evaluate(result.checkpoint_path, n_episodes=2, seed_base=6)
+        with pytest.raises(TypeError):
+            evaluate(result.checkpoint_path, n_episodes=2, seed_base=6, out_dir=tmp_path / "fresh")
+        assert {p.name: p.read_bytes() for p in result.out_dir.iterdir()} == before
+        assert list((tmp_path / "fresh").iterdir()) == []
 
     def test_env_mismatch_rejected(self, tmp_path):
         result = train(tiny_config(tmp_path, algo="ppo", seed=2))
@@ -420,10 +453,14 @@ class TestCli:
         (["tune"], "--trial-timesteps", "5e4", "expected integer"),
         (["tune"], "--episodes", "two", "expected integer"),
         (["tune"], "--tune-seed", "abc", "expected integer"),
+        (["evaluate", "x.bin"], "--seed", "-5", "expected a non-negative integer"),
+        (["tune"], "--tune-seed", "-1", "expected a non-negative integer"),
     ]
 
-    @pytest.mark.parametrize("argv, flag, value, named", BAD_FLAG_VALUES,
-                             ids=[f"{argv[0]}{flag}" for argv, flag, _, _ in BAD_FLAG_VALUES])
+    @pytest.mark.parametrize("argv, flag, value, named", BAD_FLAG_VALUES, ids=[
+        f"{argv[0]}{flag}" + ("-negative" if value.startswith("-") else "")
+        for argv, flag, value, _ in BAD_FLAG_VALUES
+    ])
     def test_cli_bad_flag_value_is_a_one_line_error(self, tmp_path, capsys, argv, flag, value, named):
         err = self._one_line_error([*argv, flag, value, "--out", str(tmp_path / "x")], capsys)
         assert f"{flag}: {named}, got {value!r}" in err

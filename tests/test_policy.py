@@ -1,6 +1,7 @@
 """Policy heads: distributions, log-probs, entropy, values, and their
 agreement with quadrature / Monte-Carlo / finite-difference oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from scipy import stats
 
 from poemrl import nn, policy as pol
+from poemrl.autodiff import NumericalError
 from poemrl.policy import ActorCritic, Categorical, DiagGaussian, DiagGaussianHead
 
-from conftest import central_diff, make_categorical_ac, make_gaussian_ac, max_rel_err
+from conftest import central_diff, make_categorical_ac, make_gaussian_ac, max_rel_err, one_row_distribution
 
 
 def zeroed(ac: ActorCritic) -> ActorCritic:
@@ -20,27 +22,50 @@ def zeroed(ac: ActorCritic) -> ActorCritic:
 class TestDistribution:
     def test_zero_weight_actor_gives_standard_normal(self):
         ac = zeroed(make_gaussian_ac(action_dim=2))
-        dist = pol.distribution(ac, [0.7, -0.3])
+        dist = pol.distribution(ac, [[0.7, -0.3]])[0]
         assert np.array_equal(dist.mean, [0.0, 0.0])
         assert np.array_equal(dist.std, [1.0, 1.0])
 
     def test_zero_logits_give_uniform(self):
         ac = zeroed(make_categorical_ac(n_actions=4))
-        dist = pol.distribution(ac, [1.0, 2.0])
+        dist = pol.distribution(ac, [[1.0, 2.0]])[0]
         assert np.allclose(dist.probs, 0.25)
 
     def test_categorical_probs_normalized(self, rng):
         ac = make_categorical_ac(n_actions=5, seed=3)
         ac.params.data[:] = rng.normal(scale=2.0, size=len(ac.params))
-        for _ in range(20):
-            dist = pol.distribution(ac, rng.normal(size=2))
+        for dist in pol.distribution(ac, rng.normal(size=(20, 2))):
             assert abs(dist.probs.sum() - 1.0) <= 1e-12
             assert np.all(dist.probs >= 0.0)
 
     def test_obs_length_checked(self):
         ac = make_gaussian_ac(obs_dim=3)
         with pytest.raises(ValueError):
-            pol.distribution(ac, [1.0, 2.0])
+            pol.distribution(ac, [[1.0, 2.0]])
+        with pytest.raises(ValueError):  # one observation is not a batch
+            pol.distribution(ac, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n_obs", [1, 2, 15])
+    @pytest.mark.parametrize("make_ac", [
+        lambda seed: make_gaussian_ac(obs_dim=3, action_dim=2, hidden=(7, 5), seed=seed),
+        lambda seed: make_categorical_ac(obs_dim=3, n_actions=4, hidden=(9,), seed=seed),
+    ], ids=["gaussian", "categorical"])
+    def test_batch_equals_one_row_passes(self, rng, make_ac, n_obs):
+        ac = make_ac(n_obs)
+        ac.params.data[:] = rng.normal(size=len(ac.params))
+        obs = rng.normal(scale=3.0, size=(n_obs, 3))
+        dists = pol.distribution(ac, obs)
+        assert len(dists) == n_obs
+        for dist, o in zip(dists, obs):
+            ref = one_row_distribution(ac, o)
+            assert type(dist) is type(ref)
+            for f in dataclasses.fields(ref):
+                assert np.array_equal(getattr(dist, f.name), getattr(ref, f.name)), f.name
+
+    def test_non_finite_actor_output_raises(self):
+        ac = make_categorical_ac()
+        with pytest.raises(NumericalError):
+            pol.distribution(ac, [[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])
 
 
 class TestSample:
@@ -53,7 +78,7 @@ class TestSample:
     def test_floor_guarded_std_collapses_to_mean(self):
         ac = make_gaussian_ac()
         ac.params.data[ac.actor_spec.n_params] = -1e9  # log_std below the floor
-        dist = pol.distribution(ac, [0.1, 0.1])
+        dist = pol.distribution(ac, [[0.1, 0.1]])[0]
         assert dist.std[0] == math.exp(pol.LOG_STD_MIN)
         action = pol.sample(dist, np.random.default_rng(5))
         assert abs(action[0] - dist.mean[0]) < 1e-7
@@ -134,7 +159,7 @@ class TestEntropy:
 
     def test_gaussian_entropy_matches_monte_carlo(self):
         ac = gaussian_ac(0.5, 0.8)
-        g = pol.distribution(ac, [0.0, 0.0])
+        g = pol.distribution(ac, [[0.0, 0.0]])[0]
         rng = np.random.default_rng(42)
         samples = g.mean + g.std * rng.standard_normal((100_000, 1))
         logps = pol.logp_batch(ac, np.zeros((len(samples), 2)), samples)
@@ -173,7 +198,7 @@ class TestBatchPaths:
             else:
                 actions = rng.integers(0, ac.head.n_actions, size=6)
             batch = pol.logp_batch(ac, obs, actions)
-            singles = [closed_form_logp(pol.distribution(ac, o), a) for o, a in zip(obs, actions)]
+            singles = [closed_form_logp(pol.distribution(ac, [o])[0], a) for o, a in zip(obs, actions)]
             assert np.allclose(batch, singles, atol=1e-12)
 
     def test_values_batch_matches_per_sample(self, rng):

@@ -1,5 +1,6 @@
 """Welch's t-test against frozen reference fixtures, the incomplete beta
-identities, and the deterministic evaluation protocol."""
+identities, and the deterministic evaluation protocol, whose lockstep
+episodes must equal episodes played one after another."""
 
 import json
 import pathlib
@@ -7,11 +8,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from poemrl import stats
-from poemrl.envs import ContinuousSpace, StepResult
-from poemrl.stats import compare_runs, evaluate_policy, regularized_incomplete_beta, welch_t_test
+from poemrl import harness, policy as pol, stats
+from poemrl.autodiff import NumericalError
+from poemrl.envs import ContinuousSpace, StepResult, make_env
+from poemrl.stats import EvalReport, compare_runs, evaluate_policy, regularized_incomplete_beta, welch_t_test
 
-from conftest import make_gaussian_ac
+from conftest import make_categorical_ac, make_gaussian_ac, one_row_distribution
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -182,3 +184,132 @@ class TestEvaluatePolicy:
         series = report.step_series[0]
         assert series[-1] == pytest.approx(report.per_episode_rewards[0], abs=1e-12)
         assert len(series) == report.per_episode_steps[0]
+
+
+def sequential_evaluate(make, ac, n_episodes, seed_base, deterministic) -> EvalReport:
+    """Episodes played one after another with one-row actor passes: the loop
+    that lockstep evaluation must reproduce bit for bit."""
+    rewards, steps, seeds, series, infos = [], [], [], [], []
+    for i in range(n_episodes):
+        seed = seed_base + i
+        env = make()
+        obs = env.reset(seed=seed)
+        rng = np.random.default_rng(seed)
+        total, cumulative = 0.0, []
+        while True:
+            result = env.step(pol.sample(one_row_distribution(ac, obs), rng, deterministic=deterministic))
+            total += result.reward
+            cumulative.append(total)
+            obs = result.obs
+            if result.terminated or result.truncated:
+                infos.append(dict(result.info, terminated=result.terminated, truncated=result.truncated))
+                break
+        rewards.append(total)
+        steps.append(len(cumulative))
+        seeds.append(seed)
+        series.append(np.asarray(cumulative))
+    rewards = np.asarray(rewards, dtype=np.float64)
+    return EvalReport(
+        per_episode_rewards=rewards,
+        per_episode_steps=np.asarray(steps, dtype=np.int64),
+        mean=float(rewards.mean()),
+        std=float(rewards.std(ddof=1)) if n_episodes > 1 else 0.0,
+        seeds=seeds,
+        step_series=series,
+        final_infos=infos,
+    )
+
+
+def assert_same_report(got: EvalReport, want: EvalReport) -> None:
+    for name in ("per_episode_rewards", "per_episode_steps", "mean", "std"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.per_episode_steps.dtype == want.per_episode_steps.dtype
+    assert got.seeds == want.seeds
+    assert got.final_infos == want.final_infos
+    assert len(got.step_series) == len(want.step_series)
+    for i, (a, b) in enumerate(zip(got.step_series, want.step_series)):
+        assert np.array_equal(a, b), f"step_series[{i}]"
+
+
+class StaggeredEnv:
+    """An episode of 1 + seed % 7 steps that a termination ends on even seeds
+    and a time limit on odd ones. The reward depends on the action, so a
+    sampled action shows in the totals; stepping past the end is allowed, so
+    an extra step shows in the lengths. `log` records every reset and step."""
+
+    observation_dim = 2
+    action_space = ContinuousSpace(1, -1.0, 1.0)
+
+    def __init__(self, log=None):
+        self.log = [] if log is None else log
+
+    def reset(self, seed=None):
+        self.log.append(("reset", seed))
+        self.seed, self.t = seed, 0
+        return np.array([0.1 * (seed % 5), 0.0])
+
+    def step(self, action):
+        self.log.append(("step", self.seed))
+        self.t += 1
+        done = self.t >= 1 + self.seed % 7
+        obs = np.array([0.1 * (self.seed % 5) + 0.05 * self.t, -0.03 * self.t])
+        reward = float(np.sum(action)) + 0.01 * self.t
+        odd = self.seed % 2 == 1
+        return StepResult(obs, reward, done and not odd, done and odd, {"seed": self.seed, "t": self.t})
+
+
+def perturbed(ac, seed):
+    ac.params.data[:] += np.random.default_rng(seed).normal(scale=0.5, size=len(ac.params))
+    return ac
+
+
+class TestLockstepEvaluation:
+    @pytest.mark.parametrize("n_episodes", [1, 7, 20])
+    @pytest.mark.parametrize("deterministic", [True, False], ids=["mode", "sampled"])
+    @pytest.mark.parametrize("make_ac", [
+        lambda: make_gaussian_ac(hidden=(5, 3), seed=1),
+        lambda: make_categorical_ac(n_actions=3, hidden=(7,), seed=2),
+    ], ids=["gaussian", "categorical"])
+    def test_staggered_episodes_match_sequential_play(self, make_ac, deterministic, n_episodes):
+        ac = perturbed(make_ac(), n_episodes)
+        report = evaluate_policy(StaggeredEnv, ac, n_episodes, seed_base=100, deterministic=deterministic)
+        assert_same_report(report, sequential_evaluate(StaggeredEnv, ac, n_episodes, 100, deterministic))
+        seeds = list(range(100, 100 + n_episodes))
+        assert report.per_episode_steps.tolist() == [1 + s % 7 for s in seeds]
+        assert [len(series) for series in report.step_series] == [1 + s % 7 for s in seeds]
+        assert [(info["seed"], info["terminated"], info["truncated"]) for info in report.final_infos] == [
+            (s, s % 2 == 0, s % 2 == 1) for s in seeds
+        ]
+
+    @pytest.mark.parametrize("env_id, hidden, deterministic, n_episodes", [
+        ("mountain_car_continuous", (64, 64), True, 1),
+        ("mountain_car_continuous", (7,), False, 3),
+        ("sparse_lander", (16, 8, 4), True, 20),
+        ("sparse_lander", (33, 5), False, 15),
+        ("sparse_lander", (64, 64), False, 1),
+    ])
+    def test_env_episodes_match_sequential_play(self, env_id, hidden, deterministic, n_episodes):
+        ac = perturbed(harness.build_actor_critic(make_env(env_id), hidden, param_seed=n_episodes), 3)
+        report = evaluate_policy(env_id, ac, n_episodes, seed_base=40, deterministic=deterministic)
+        want = sequential_evaluate(lambda: make_env(env_id), ac, n_episodes, 40, deterministic)
+        assert_same_report(report, want)
+
+    def test_non_finite_actor_output_raises(self):
+        ac = make_gaussian_ac()
+        ac.params.data[:] = np.nan
+        with pytest.raises(NumericalError):
+            evaluate_policy(StaggeredEnv, ac, 3, seed_base=0)
+
+    def test_dimension_mismatch_raises_before_any_env_call(self):
+        log, made = [], []
+
+        def make():
+            env = StaggeredEnv(log)
+            if len(made) == 3:
+                env.observation_dim = 3
+            made.append(env)
+            return env
+
+        with pytest.raises(ValueError, match="do not match"):
+            evaluate_policy(make, make_gaussian_ac(), 5, seed_base=0)
+        assert log == []
