@@ -2,18 +2,21 @@
 
 A small tape: every op returns a `Tensor` holding its value and a closure
 that routes the output gradient to its parents. `Tensor.backward()` walks
-the graph once in reverse topological order. Only the ops needed by the
-policy-gradient losses are implemented; everything is double precision.
+the graph once in reverse creation order, which is a reverse topological
+order. Only the ops needed by the policy-gradient losses are implemented;
+everything is double precision.
 
-Three fused ops cover the hot path of a minibatch with one node each:
-`linear` (matmul plus bias), `diag_gaussian_logp` and `clipped_surrogate`.
-Each hand-written backward repeats the floating-point operations of the
-elementwise composition it replaces, in the same order, so fused and
-unfused graphs give bit-identical values and gradients.
+Fused ops cover the hot path of a minibatch with one node each: `mlp` (a
+whole network), `diag_gaussian_logp`, `clipped_surrogate`, and the
+`mean_squared_error` and `mean_difference` loss terms. Each hand-written
+backward repeats the floating-point operations of the composition it
+replaces, in the same order, so fused and unfused graphs give
+bit-identical values and gradients.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -43,42 +46,42 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+_creation = itertools.count()
+
+
 class Tensor:
     """A node in the computation graph."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_order")
 
     def __init__(self, data, parents: tuple = (), backward=None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self._parents = parents
         self._backward = backward
+        self._order = next(_creation)  # a node is always created after its parents
 
     def _accum(self, g: np.ndarray) -> None:
         # never mutate grads in place: vjp outputs may alias each other
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
-        """Accumulate gradients of this (scalar) node into the graph leaves."""
+        """Accumulate gradients of this (scalar) node into the graph leaves.
+
+        Nodes run in reverse creation order, so each runs after all of its
+        consumers, and a node's consumers add into its gradient latest
+        first."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        nodes = {id(self): self}
+        stack = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            for p in stack.pop()._parents:
+                if id(p) not in nodes:
+                    nodes[id(p)] = p
+                    stack.append(p)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in sorted(nodes.values(), key=lambda n: n._order, reverse=True):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
@@ -100,88 +103,64 @@ def constant(x) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    out = Tensor(a.data + b.data, (a, b))
 
     def backward(g):
         a._accum(_unbroadcast(g, a.data.shape))
         b._accum(_unbroadcast(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    out = Tensor(a.data * b.data, (a, b))
 
     def backward(g):
         a._accum(_unbroadcast(g * b.data, a.data.shape))
         b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, (a, b), backward)
 
 
 # ---- elementwise functions ---------------------------------------------
 
 
-def tanh(a) -> Tensor:
-    a = _ensure(a)
-    y = np.tanh(a.data)
-    out = Tensor(y, (a,))
-
-    def backward(g):
-        a._accum(g * (1.0 - y * y))
-
-    out._backward = backward
-    return out
-
-
 def exp(a) -> Tensor:
     a = _ensure(a)
     y = np.exp(a.data)
-    out = Tensor(y, (a,))
 
     def backward(g):
         a._accum(g * y)
 
-    out._backward = backward
-    return out
+    return Tensor(y, (a,), backward)
 
 
 def log(a) -> Tensor:
     a = _ensure(a)
-    out = Tensor(np.log(a.data), (a,))
 
     def backward(g):
         a._accum(g / a.data)
 
-    out._backward = backward
-    return out
+    return Tensor(np.log(a.data), (a,), backward)
 
 
 def square(a) -> Tensor:
     a = _ensure(a)
-    out = Tensor(a.data * a.data, (a,))
 
     def backward(g):
         a._accum(g * 2.0 * a.data)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * a.data, (a,), backward)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes through only inside the interval."""
     a = _ensure(a)
     inside = (a.data >= lo) & (a.data <= hi)
-    out = Tensor(np.clip(a.data, lo, hi), (a,))
 
     def backward(g):
         a._accum(g * inside)
 
-    out._backward = backward
-    return out
+    return Tensor(np.clip(a.data, lo, hi), (a,), backward)
 
 
 # ---- reductions and indexing -------------------------------------------
@@ -189,15 +168,13 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _ensure(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.data.shape).copy())
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tmean(a, axis: int | None = None) -> Tensor:
@@ -210,15 +187,13 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
     """Pick one column per row: out[i] = a[i, index[i]]."""
     a = _ensure(a)
     rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, index], (a,))
 
     def backward(g):
         full = np.zeros_like(a.data)
         np.add.at(full, (rows, index), g)
         a._accum(full)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data[rows, index], (a,), backward)
 
 
 def logsumexp_rows(a) -> Tensor:
@@ -232,20 +207,26 @@ def logsumexp_rows(a) -> Tensor:
 # ---- fused ops ------------------------------------------------------------
 
 
-def linear(x, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b. A plain-array `x` is an input and gets no gradient."""
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    parents = (x, w, b) if isinstance(x, Tensor) else (w, b)
-    out = Tensor(xd @ w.data + b.data, parents)
+def mlp(x: np.ndarray, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
+    """A network of (W, b) layers, tanh between them, as one node: per layer
+    `x @ W + b`, then tanh except after the last. The input `x` gets no
+    gradient; the VJP repeats those of the per-layer `linear` and `tanh`."""
+    hs = [np.asarray(x, dtype=np.float64)]  # each layer's input, then the output
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        h = hs[-1] @ w.data + b.data
+        hs.append(h if i == last else np.tanh(h))
 
     def backward(g):
-        b._accum(_unbroadcast(g, b.data.shape))
-        if isinstance(x, Tensor):
-            x._accum(g @ w.data.T)
-        w._accum(xd.T @ g)
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            b._accum(_unbroadcast(g, b.data.shape))
+            w._accum(hs[i].T @ g)
+            if i:
+                y = hs[i]
+                g = (g @ w.data.T) * (1.0 - y * y)
 
-    out._backward = backward
-    return out
+    return Tensor(hs[-1], tuple(t for layer in layers for t in layer), backward)
 
 
 def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Tensor:
@@ -257,10 +238,6 @@ def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Te
     diff = actions - mean.data
     z = diff / std
     d = log_std.data.size
-    out = Tensor(
-        (z * z).sum(axis=1) * -0.5 + (log_std.data.sum() * -1.0 + (-0.5 * LOG_2PI * d)),
-        (mean, log_std),
-    )
 
     def backward(g):
         g_z = (g * -0.5)[:, None] * 2.0 * z
@@ -268,8 +245,11 @@ def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Te
         log_std._accum(g_std * std + g.sum() * -1.0)
         mean._accum(g_z / std * -1.0)
 
-    out._backward = backward
-    return out
+    return Tensor(
+        (z * z).sum(axis=1) * -0.5 + (log_std.data.sum() * -1.0 + (-0.5 * LOG_2PI * d)),
+        (mean, log_std),
+        backward,
+    )
 
 
 def clipped_surrogate(logp: Tensor, logp_old: np.ndarray, adv: np.ndarray, clip_epsilon: float) -> Tensor:
@@ -284,12 +264,31 @@ def clipped_surrogate(logp: Tensor, logp_old: np.ndarray, adv: np.ndarray, clip_
     clipped = np.clip(ratio, lo, hi) * adv
     take_unclipped = unclipped <= clipped
     scale = 1.0 / ratio.size
-    out = Tensor(np.where(take_unclipped, unclipped, clipped).sum() * scale * -1.0, (logp,))
 
     def backward(g):
         g_min = g * -1.0 * scale
         g_ratio = g_min * take_unclipped * adv + g_min * ~take_unclipped * adv * inside
         logp._accum(g_ratio * ratio)
 
-    out._backward = backward
-    return out
+    return Tensor(np.where(take_unclipped, unclipped, clipped).sum() * scale * -1.0, (logp,), backward)
+
+
+def mean_squared_error(v: Tensor, target: np.ndarray) -> Tensor:
+    """mean((v - target)^2) for (n,) `v`, as `tmean(square(add(v, -target)))`."""
+    d = v.data + -target
+    scale = 1.0 / d.size
+
+    def backward(g):
+        v._accum(g * scale * 2.0 * d)
+
+    return Tensor((d * d).sum() * scale, (v,), backward)
+
+
+def mean_difference(a: Tensor, b: np.ndarray) -> Tensor:
+    """mean(a - b) for (n,) `a`, as `tmean(add(a, -b))`."""
+    scale = 1.0 / a.data.size
+
+    def backward(g):
+        a._accum(np.broadcast_to(g * scale, a.data.shape).copy())
+
+    return Tensor((a.data + -b).sum() * scale, (a,), backward)

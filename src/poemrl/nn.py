@@ -169,13 +169,7 @@ def make_leaves(params: ParamVector) -> dict[str, Tensor]:
 
 def forward_batch_t(spec: MlpSpec, leaves: dict[str, Tensor], x: np.ndarray, prefix: str = "") -> Tensor:
     """Tape version of forward_batch, differentiable in the leaves (not in x)."""
-    h = np.asarray(x, dtype=np.float64)
-    last = spec.n_layers - 1
-    for i in range(spec.n_layers):
-        h = ad.linear(h, leaves[f"{prefix}w{i}"], leaves[f"{prefix}b{i}"])
-        if i != last:
-            h = ad.tanh(h)
-    return h
+    return ad.mlp(x, [(leaves[f"{prefix}w{i}"], leaves[f"{prefix}b{i}"]) for i in range(spec.n_layers)])
 
 
 def collect_leaf_grads(leaves: dict[str, Tensor], layout: tuple[LayoutEntry, ...]) -> np.ndarray:

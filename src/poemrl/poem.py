@@ -89,17 +89,25 @@ class DiversityMetrics:
     l_total_after: float | None
 
 
-def kl_divergence_mc(ac: ActorCritic, ema_policy_params: np.ndarray, batch) -> float:
+def _logp_pair(ac: ActorCritic, ema_policy_params: np.ndarray, batch) -> tuple[np.ndarray, np.ndarray]:
+    """log pi(a_i|s_i) under the current and the EMA policy parameters."""
+    return (pol.logp_batch(ac, batch.obs, batch.actions),
+            pol.logp_batch(ac, batch.obs, batch.actions, policy_params=ema_policy_params))
+
+
+def kl_divergence_mc(ac: ActorCritic, ema_policy_params: np.ndarray, batch, return_logps: bool = False):
     """Sampled KL estimate (1/N) sum log[pi(a_i|s_i) / pi_hat(a_i|s_i)] over
-    the batch's stored state-action pairs; may be negative."""
+    the batch's stored state-action pairs; may be negative. With
+    `return_logps`, returns (estimate, log pi, log pi_hat) so that scoring
+    can reuse the two arrays."""
     if len(batch.obs) == 0:
         raise ValueError("empty batch")
-    lp_cur = pol.logp_batch(ac, batch.obs, batch.actions)
-    lp_ref = pol.logp_batch(ac, batch.obs, batch.actions, policy_params=ema_policy_params)
+    lp_cur, lp_ref = _logp_pair(ac, ema_policy_params, batch)
     diff = lp_cur - lp_ref
-    if not np.all(np.isfinite(diff)):
+    if not np.isfinite(diff).all():
         raise NumericalError("non-finite log-probability in divergence estimate")
-    return float(diff.mean())
+    d_post = float(diff.mean())
+    return (d_post, lp_cur, lp_ref) if return_logps else d_post
 
 
 def total_loss(
@@ -108,9 +116,11 @@ def total_loss(
     mb: Minibatch,
     ppo_cfg: PpoConfig,
     poem_cfg: PoemConfig,
+    **known,
 ) -> LossBreakdown:
-    """Composite loss (surrogate, diversity bonus, value, entropy terms)."""
-    return ppo.evaluate_loss(ac, mb, ppo_cfg, poem_cfg.lambda_div, ema_policy_params)
+    """Composite loss (surrogate, diversity bonus, value, entropy terms);
+    `known` passes precomputed terms on to `ppo.evaluate_loss`."""
+    return ppo.evaluate_loss(ac, mb, ppo_cfg, poem_cfg.lambda_div, ema_policy_params, **known)
 
 
 def mutation_sigma(d_post: float, cfg: PoemConfig) -> float:
@@ -119,12 +129,6 @@ def mutation_sigma(d_post: float, cfg: PoemConfig) -> float:
         return cfg.sigma_max
     sigma = cfg.sigma_min + (cfg.sigma_max - cfg.sigma_min) * (cfg.delta - d_post) / cfg.delta
     return float(min(max(sigma, cfg.sigma_min), cfg.sigma_max))
-
-
-def _mutation_slice(ac: ActorCritic, scope: str) -> slice:
-    if scope == "actor_only":
-        return ac.policy_slice
-    return slice(0, len(ac.params))
 
 
 def mutate_and_select(
@@ -136,28 +140,39 @@ def mutate_and_select(
     poem_cfg: PoemConfig,
     rng: np.random.Generator,
     d_post: float,
+    logps: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ActorCritic, DiversityMetrics]:
     """Try Gaussian parameter perturbations; adopt the best candidate only if
-    it strictly beats the incumbent's composite loss on this minibatch."""
+    it strictly beats the incumbent's composite loss on this minibatch.
+
+    `logps` are the d_post probe's log-probs under the current and the EMA
+    policy. The incumbent is scored from them and one critic pass; each
+    candidate costs one actor pass on a parameter copy, plus a critic pass
+    when the critic is mutated too."""
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    incumbent = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg).l_total
-    scope = _mutation_slice(ac, poem_cfg.mutate_scope)
+    lp_cur, lp_ref = logps if logps is not None else _logp_pair(ac, ema_policy_params, mb)
+    # a zero-weighted entropy is left out of the score, so it costs no actor pass
+    scored = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg, logp=lp_cur, ema_logp=lp_ref,
+                        entropy=None if ppo_cfg.alpha_ent else np.nan)
+    incumbent = scored.l_total
+    critic_mutated = poem_cfg.mutate_scope == "actor_and_critic"
+    scope = slice(0, len(ac.params)) if critic_mutated else ac.policy_slice
 
-    best_ac = None
+    best_data = None
     best_loss = np.inf
     for _ in range(poem_cfg.n_candidates):
         noise = sigma * rng.standard_normal(scope.stop - scope.start)
         data = ac.params.data.copy()
         data[scope] += noise
-        candidate = ac.with_params(data)
-        loss = total_loss(candidate, ema_policy_params, mb, ppo_cfg, poem_cfg).l_total
+        loss = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg, params=data, ema_logp=lp_ref,
+                          l_vf=None if critic_mutated else scored.l_vf).l_total
         if not np.isfinite(loss):
             continue  # disqualified; the incumbent is never at risk
         if loss < best_loss:
-            best_ac, best_loss = candidate, loss
+            best_data, best_loss = data, loss
 
-    accepted = best_ac is not None and best_loss < incumbent
+    accepted = best_data is not None and best_loss < incumbent
     metrics = DiversityMetrics(
         d_post=d_post,
         sigma_used=float(sigma),
@@ -166,7 +181,7 @@ def mutate_and_select(
         l_total_before=incumbent,
         l_total_after=best_loss if accepted else incumbent,
     )
-    return (best_ac if accepted else ac), metrics
+    return (ac.with_params(best_data) if accepted else ac), metrics
 
 
 def poem_update(
@@ -191,16 +206,16 @@ def poem_update(
             ac, adam_state, breakdown = ppo.apply_minibatch_step(
                 ac, mb, ppo_cfg, adam_state, poem_cfg.lambda_div, tracker.theta_hat
             )
+            tracker = ema_update(tracker, ac.params.data[ac.policy_slice])
+            d_post, lp_cur, lp_ref = kl_divergence_mc(ac, tracker.theta_hat, mb, return_logps=True)
+            if d_post < poem_cfg.delta:
+                sigma = mutation_sigma(d_post, poem_cfg)
+                ac, metrics = mutate_and_select(
+                    ac, tracker.theta_hat, mb, sigma, ppo_cfg, poem_cfg, mutation_rng, d_post, (lp_cur, lp_ref)
+                )
+            else:
+                metrics = DiversityMetrics(d_post, None, False, False, None, None)
         except NumericalError as err:
             raise NumericalError(f"update aborted at minibatch {k}: {err}") from None
-        tracker = ema_update(tracker, ac.params.data[ac.policy_slice])
-        d_post = kl_divergence_mc(ac, tracker.theta_hat, mb)
-        if d_post < poem_cfg.delta:
-            sigma = mutation_sigma(d_post, poem_cfg)
-            ac, metrics = mutate_and_select(
-                ac, tracker.theta_hat, mb, sigma, ppo_cfg, poem_cfg, mutation_rng, d_post
-            )
-        else:
-            metrics = DiversityMetrics(d_post, None, False, False, None, None)
         diagnostics.append((breakdown, metrics))
     return ac, tracker, adam_state, diagnostics

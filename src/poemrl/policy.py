@@ -142,10 +142,11 @@ def distribution(ac: ActorCritic, obs) -> list[DiagGaussian] | list[Categorical]
     if obs.ndim != 2 or obs.shape[1] != ac.obs_dim():
         raise ValueError(f"obs shape {obs.shape} does not match (E, {ac.obs_dim()})")
     out = nn.forward_batch(ac.actor_layers, _features(ac, obs[:, None, :]))[:, 0]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("actor network produced non-finite output")
     if isinstance(ac.head, DiagGaussianHead):
-        std = np.exp(np.clip(ac.log_std, LOG_STD_MIN, LOG_STD_MAX))
+        # np.clip's value, NaN included, without its per-call overhead
+        std = np.exp(np.minimum(np.maximum(ac.log_std, LOG_STD_MIN), LOG_STD_MAX))
         return [DiagGaussian(mean=mean, std=std) for mean in out]
     return [Categorical(probs=probs) for probs in _softmax_rows(out)]
 
@@ -173,8 +174,10 @@ def value(ac: ActorCritic, obs) -> float:
 # ---- vectorized plain-numpy paths (collection, evaluation, KL probes) ----
 
 
-def values_batch(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
-    return nn.forward_batch(ac.critic_layers, _features(ac, obs))[:, 0]
+def values_batch(ac: ActorCritic, obs: np.ndarray, params: np.ndarray | None = None) -> np.ndarray:
+    """V(s_i), optionally under a replacement for the whole parameter vector."""
+    layers = ac.critic_layers if params is None else nn.layer_views(ac.critic_spec, params, ac.n_policy)
+    return nn.forward_batch(layers, _features(ac, obs))[:, 0]
 
 
 def logp_batch(
@@ -182,9 +185,11 @@ def logp_batch(
     obs: np.ndarray,
     actions: np.ndarray,
     policy_params: np.ndarray | None = None,
-) -> np.ndarray:
+    with_entropy: bool = False,
+):
     """log pi(a_i|s_i) for stored pairs, optionally under replacement policy
-    parameters (an array shaped like the actor+log_std slice)."""
+    parameters (an array shaped like the actor+log_std slice). With
+    `with_entropy`, returns (log-probs, entropy_mean) from one actor pass."""
     if policy_params is None:
         layers, log_std = ac.actor_layers, ac.log_std
     else:
@@ -192,24 +197,28 @@ def logp_batch(
         layers, log_std = nn.layer_views(ac.actor_spec, flat), flat[ac.actor_spec.n_params : ac.n_policy]
     out = nn.forward_batch(layers, _features(ac, obs))
     if isinstance(ac.head, DiagGaussianHead):
-        log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-        z = (actions - out) / np.exp(log_std)
-        return -0.5 * LOG_2PI * ac.head.action_dim - log_std.sum() - 0.5 * (z * z).sum(axis=1)
-    logits = out - out.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(logits).sum(axis=1))
-    return logits[np.arange(len(actions)), actions] - log_z
+        clipped = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
+        z = (actions - out) / np.exp(clipped)
+        logp = -0.5 * LOG_2PI * ac.head.action_dim - clipped.sum() - 0.5 * (z * z).sum(axis=1)
+    else:
+        logits = out - out.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(logits).sum(axis=1))
+        logp = logits[np.arange(len(actions)), actions] - log_z
+    return (logp, _entropy(ac, out, log_std)) if with_entropy else logp
+
+
+def _entropy(ac: ActorCritic, out: np.ndarray | None, log_std: np.ndarray) -> float:
+    if isinstance(ac.head, DiagGaussianHead):
+        # summed as policy_graph does, so the two agree bit for bit
+        return float(np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX).sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
+    probs = _softmax_rows(out)
+    return float(-(probs * np.log(np.maximum(probs, 1e-300))).sum(axis=1).mean())
 
 
 def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
     """Mean per-state policy entropy over a batch of observations."""
-    if isinstance(ac.head, DiagGaussianHead):
-        # summed as policy_graph does, so the two agree bit for bit
-        return float(np.clip(ac.log_std, LOG_STD_MIN, LOG_STD_MAX).sum()
-                     + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
-    logits = nn.forward_batch(ac.actor_layers, _features(ac, obs))
-    probs = _softmax_rows(logits)
-    logp = np.log(np.maximum(probs, 1e-300))
-    return float(-(probs * logp).sum(axis=1).mean())
+    gaussian = isinstance(ac.head, DiagGaussianHead)
+    return _entropy(ac, None if gaussian else nn.forward_batch(ac.actor_layers, _features(ac, obs)), ac.log_std)
 
 
 # ---- tape paths (differentiable, for the update step) --------------------
@@ -226,9 +235,12 @@ def policy_graph(
         ent = ad.add(ad.tsum(log_std), ad.constant(GAUSSIAN_ENTROPY_CONST * ac.head.action_dim))
         return logp, ent
     log_all = ad.add(out, ad.mul(ad.logsumexp_rows(out), -1.0))
+    # log_all's three consumers are made in this order so that backward adds
+    # their gradients as a depth-first walk of the loss would: gather first
+    p_log_p = ad.mul(ad.exp(log_all), log_all)
     logp = ad.gather_rows(log_all, actions)
     # H = -sum p log p, averaged over the batch
-    ent = ad.mul(ad.tmean(ad.tsum(ad.mul(ad.exp(log_all), log_all), axis=1)), -1.0)
+    ent = ad.mul(ad.tmean(ad.tsum(p_log_p, axis=1)), -1.0)
     return logp, ent
 
 

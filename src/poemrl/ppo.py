@@ -130,13 +130,13 @@ def loss_graph(
             raise ValueError("lambda_div != 0 requires reference policy parameters")
         # the reference policy is a constant: its log-probs stay off the tape
         ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params)
-        kl_t = ad.tmean(ad.add(logp_t, ad.constant(-ema_logp)))
+        kl_t = ad.mean_difference(logp_t, ema_logp)
         loss = ad.add(loss, ad.mul(kl_t, -lambda_div))
         kl_val = float(kl_t.data)
 
     if cfg.alpha_vf != 0.0:
         v_t = pol.values_graph(ac, leaves, mb.obs)
-        l_vf_t = ad.tmean(ad.square(ad.add(v_t, ad.constant(-mb.returns))))
+        l_vf_t = ad.mean_squared_error(v_t, mb.returns)
         loss = ad.add(loss, ad.mul(l_vf_t, cfg.alpha_vf))
         l_vf_val = float(l_vf_t.data)
     else:
@@ -162,12 +162,25 @@ def evaluate_loss(
     cfg: PpoConfig,
     lambda_div: float = 0.0,
     ema_policy_params: np.ndarray | None = None,
+    *,
+    params: np.ndarray | None = None,
+    logp: np.ndarray | None = None,
+    ema_logp: np.ndarray | None = None,
+    l_vf: float | None = None,
+    entropy: float | None = None,
 ) -> LossBreakdown:
     """Loss values only: the numpy value path, used to score mutation
     candidates. `loss_graph` is the gradient path; this adds the same terms
     in the same order, so for a Gaussian head the two agree bit for bit
-    (a categorical head's log-softmax rounds differently, within 1e-12)."""
-    logp = pol.logp_batch(ac, mb.obs, mb.actions)
+    (a categorical head's log-softmax rounds differently, within 1e-12).
+
+    `params` replaces `ac`'s parameter vector. `logp`, `ema_logp` and
+    `l_vf` stand in for the forward passes that would compute them; the
+    actor pass that computes `logp` also gives the entropy, which otherwise
+    is `entropy` or, when that is None, `entropy_mean`'s."""
+    if logp is None:
+        policy = None if params is None else params[: ac.n_policy]
+        logp, entropy = pol.logp_batch(ac, mb.obs, mb.actions, policy, with_entropy=True)
     l_ppo = clipped_surrogate(logp, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
     loss = l_ppo
 
@@ -175,14 +188,17 @@ def evaluate_loss(
     if lambda_div != 0.0:
         if ema_policy_params is None:
             raise ValueError("lambda_div != 0 requires reference policy parameters")
-        kl_val = _mean(logp - pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params))
+        if ema_logp is None:
+            ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params)
+        kl_val = _mean(logp - ema_logp)
         loss = loss + kl_val * -lambda_div
 
-    l_vf = value_loss(pol.values_batch(ac, mb.obs), mb.returns)
+    if l_vf is None:
+        l_vf = value_loss(pol.values_batch(ac, mb.obs, params), mb.returns)
     if cfg.alpha_vf != 0.0:
         loss = loss + l_vf * cfg.alpha_vf
 
-    ent = pol.entropy_mean(ac, mb.obs)
+    ent = pol.entropy_mean(ac, mb.obs) if entropy is None else entropy
     if cfg.alpha_ent != 0.0:
         loss = loss + ent * -cfg.alpha_ent
     return LossBreakdown(l_ppo=l_ppo, l_vf=l_vf, entropy=ent, kl_div=kl_val, l_total=loss)
@@ -211,7 +227,7 @@ def apply_minibatch_step(
         raise NumericalError(f"non-finite loss: {breakdown}")
     loss_t.backward()
     grad = nn.collect_leaf_grads(leaves, ac.params.layout)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient")
     if cfg.max_grad_norm is not None:
         grad = clip_grad_norm(grad, cfg.max_grad_norm)

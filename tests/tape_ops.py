@@ -1,14 +1,70 @@
-"""Tape ops that only the tests use.
+"""Tape ops and the tape walk that only the tests use.
 
-The fused `linear`, `diag_gaussian_logp` and `clipped_surrogate` ops are
-checked bit for bit against the elementwise compositions they replaced;
-these are the ops of those compositions that the library itself no longer
-needs. Each keeps its own finite-difference check in test_autodiff.py.
+The fused `mlp`, `diag_gaussian_logp`, `clipped_surrogate`,
+`mean_squared_error` and `mean_difference` ops are checked bit for bit
+against the compositions they replaced; these are the ops of those
+compositions that the library itself no longer needs. Each keeps its own
+finite-difference check in test_autodiff.py. `dfs_backward` is the
+depth-first walk that `Tensor.backward` replaced, kept as its reference.
 """
 
 import numpy as np
 
 from poemrl.autodiff import Tensor, _ensure, _unbroadcast
+
+
+def dfs_backward(root: Tensor) -> None:
+    """`root.backward()` as a depth-first topological sort: the reference
+    order of every node's gradient accumulation."""
+    if root.data.size != 1:
+        raise ValueError("backward() requires a scalar output")
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b. A plain-array `x` is an input and gets no gradient."""
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    parents = (x, w, b) if isinstance(x, Tensor) else (w, b)
+    out = Tensor(xd @ w.data + b.data, parents)
+
+    def backward(g):
+        b._accum(_unbroadcast(g, b.data.shape))
+        if isinstance(x, Tensor):
+            x._accum(g @ w.data.T)
+        w._accum(xd.T @ g)
+
+    out._backward = backward
+    return out
+
+
+def tanh(a) -> Tensor:
+    a = _ensure(a)
+    y = np.tanh(a.data)
+    out = Tensor(y, (a,))
+
+    def backward(g):
+        a._accum(g * (1.0 - y * y))
+
+    out._backward = backward
+    return out
 
 
 def div(a, b) -> Tensor:

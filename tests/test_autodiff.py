@@ -29,7 +29,7 @@ def fd_of(build, x0, shape):
 CASES = [
     ("add_mul", lambda t: ad.tsum(ad.mul(ad.add(t, 2.0), t))),
     ("div", lambda t: ad.tsum(ops.div(1.0, ad.add(ad.square(t), 1.0)))),
-    ("tanh_exp", lambda t: ad.tsum(ad.exp(ad.tanh(t)))),
+    ("tanh_exp", lambda t: ad.tsum(ad.exp(ops.tanh(t)))),
     ("log", lambda t: ad.tsum(ad.log(ad.add(ad.square(t), 0.5)))),
     ("mean_axis", lambda t: ad.tsum(ad.tmean(ad.square(t), axis=0))),
     ("clip", lambda t: ad.tsum(ad.square(ad.clip(t, -0.5, 0.5)))),
@@ -184,9 +184,9 @@ def test_linear_with_plain_array_input(rng):
     x = rng.normal(size=(5, 3))
     w, b = rng.normal(size=(3, 4)), rng.normal(size=4)
     weights = rng.normal(size=(5, 4))
-    assert_fused_matches(lambda w, b: ad.linear(x, w, b), lambda w, b: linear_ref(x, w, b), [w, b], weights)
+    assert_fused_matches(lambda w, b: ops.linear(x, w, b), lambda w, b: linear_ref(x, w, b), [w, b], weights)
     # a plain-array input is not on the tape at all
-    out = ad.linear(x, Tensor(w), Tensor(b))
+    out = ops.linear(x, Tensor(w), Tensor(b))
     assert len(out._parents) == 2
 
 
@@ -194,7 +194,7 @@ def test_linear_with_tensor_input(rng):
     x = rng.normal(size=(5, 3))
     w, b = rng.normal(size=(3, 4)), rng.normal(size=4)
     weights = rng.normal(size=(5, 4))
-    assert_fused_matches(ad.linear, linear_ref, [x, w, b], weights)
+    assert_fused_matches(ops.linear, linear_ref, [x, w, b], weights)
 
 
 @pytest.mark.parametrize("raw_log_std", [[0.3], [-0.4, 0.9], [LOG_STD_MIN - 5.0, 0.2, LOG_STD_MAX + 1.0]],
@@ -247,3 +247,62 @@ def test_clipped_surrogate_ratio_on_the_band_edges_and_ties():
     expected = -ratio * adv / logp.size
     expected[5:] = 0.0
     assert np.allclose(g_fused, expected, rtol=1e-15, atol=0.0)
+
+
+# ---- one node per network, and the fused loss terms ---------------------------
+
+
+def mlp_ref(x, layers):
+    """The per-layer composition `ad.mlp` replaced: linear, then tanh except last."""
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = ops.linear(h, w, b)
+        if i != len(layers) - 1:
+            h = ops.tanh(h)
+    return h
+
+
+@pytest.mark.parametrize("hidden", [(), (7,), (16, 8, 4)], ids=["no_hidden", "7", "16-8-4"])
+def test_mlp_matches_linear_and_tanh_per_layer(rng, hidden):
+    sizes = (3, *hidden, 2)
+    x = rng.normal(size=(5, 3))
+    params = []
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        params += [rng.normal(size=(n_in, n_out)) / np.sqrt(n_in), rng.normal(scale=0.1, size=n_out)]
+    weights = rng.normal(size=(5, 2))
+
+    def pairs(p):
+        return list(zip(p[::2], p[1::2]))
+
+    assert_fused_matches(lambda *p: ad.mlp(x, pairs(p)), lambda *p: mlp_ref(x, pairs(p)), params, weights)
+    # the input is not on the tape: the node's parents are the layers' leaves
+    out = ad.mlp(x, pairs([Tensor(p) for p in params]))
+    assert len(out._parents) == len(params)
+
+
+def test_mean_squared_error_matches_its_composition(rng):
+    target = rng.normal(size=9)
+
+    def ref(v):
+        return ad.tmean(ad.square(ad.add(v, ad.constant(-target))))
+
+    assert_fused_matches(lambda v: ad.mean_squared_error(v, target), ref, [rng.normal(size=9)], np.array(-1.7))
+
+
+def test_mean_difference_matches_its_composition(rng):
+    b = rng.normal(size=11)
+
+    def ref(a):
+        return ad.tmean(ad.add(a, ad.constant(-b)))
+
+    assert_fused_matches(lambda a: ad.mean_difference(a, b), ref, [rng.normal(size=11)], np.array(0.3))
+
+
+def test_backward_adds_consumer_gradients_latest_created_first():
+    # a has three consumers whose gradients sum differently in each order
+    c1, c2, c3 = np.array([1.0]), np.array([1e-16]), np.array([-1.0])
+    a = Tensor(np.array([0.5]))
+    root = ad.tsum(ad.add(ad.add(ad.mul(a, c1), ad.mul(a, c2)), ad.mul(a, c3)))
+    root.backward()
+    assert np.array_equal(a.grad, (c3 + c2) + c1)
+    assert not np.array_equal(a.grad, (c1 + c2) + c3)

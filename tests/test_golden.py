@@ -2,8 +2,10 @@
 files across refactors.
 
 A short run on each env covers both action heads and the mutation path.
-A change that alters trajectories on purpose updates these digests and
-says so in CHANGES.md.
+The variant cases cover scoring paths that no default run takes: four
+candidates per trigger, mutating the critic too, and a categorical head
+whose entropy term counts in the score. A change that alters trajectories
+on purpose updates these digests and says so in CHANGES.md.
 """
 
 import hashlib
@@ -30,8 +32,44 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("env", sorted(GOLDEN_SHA256))
-def test_seed_0_poem_run_and_evaluation_keep_their_bytes(tmp_path, env):
+# (env, one config override) -> digests, recorded before the scoring path
+# took the d_post probe's log-probs and one actor pass per candidate
+VARIANT_SHA256 = {
+    ("mountain_car_continuous", ("poem", "n_candidates"), "4"): (
+        "4662abbb31c1b2f5f77fbadf46ef5cb42dfbd23b1ba8344c4cc80f946ac98b04",
+        "6f9b78f97b9712ff1950336ff8a31851dee43fa6eed013260f1b3b77759e821e",
+        "3c4b71eadb4c2278767acdc264716e52cb4f41af24a59a0611b6bb42ac48c60d",
+        "d4060ec5a89449e139c8c90249b29cf30f961894c12b68fbae15643124944018",
+    ),
+    ("sparse_lander", ("poem", "n_candidates"), "4"): (
+        "3c9e1125701220f9043ff179ed6db07ef38cfa4158a1e8a2706cd07016623930",
+        "9e7a7d8f94c9880e9b666bbfc723454d14c9245a1690e1ff957549a00027b97b",
+        "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
+        "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
+    ),
+    ("mountain_car_continuous", ("poem", "mutate_scope"), "actor_and_critic"): (
+        "0c47487968d8dec2751d73f3c76d996201b31f7d6f9c7474bade5d5747bb2e22",
+        "127c29bb2dff5555dd776ff0e085598571dc3ce2ab21ee95dffc0e2d2ffbb0d3",
+        "e48ce4b3084d63a4d6a3692a61e35f921a4391179f60a2fc33cb81e53f59a38a",
+        "9d54be3df1755acf08fa2f9d5fb8055964978b9ffe6b4899f8858393c6c57ae4",
+    ),
+    ("sparse_lander", ("poem", "mutate_scope"), "actor_and_critic"): (
+        "7b1d48c85ccef3e038edd5baf9cf47b577e981753f86c148d0b3a353af510ecc",
+        "0685bb9341d025fe019d3a191fa2a6a27e2bd701ecc775fec7c46a499835292c",
+        "9a7345456f58c735bf7d5d04e09b99c9766506ecb5450cddeb28da23ba3164cc",
+        "4b6ddfca8c6676c498183c97d4f068495985a69c3383820088b85ec3d66c6c85",
+    ),
+    ("sparse_lander", ("ppo", "alpha_ent"), "0.01"): (
+        "5a386b743eed9b87f90a3ab446e318b7f6f0e98efd27c2d3fbf416f07af820f5",
+        "38e19339991638309c0256e0593f2f4007febf409166a2a4829bfaf4518f6cbb",
+        "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
+        "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
+    ),
+}
+
+
+def run_digests(tmp_path, env, overrides=None) -> dict:
+    """Digests of a seed-0, 1,024-step POEM run on `env` and its evaluation."""
     # episodes.csv records the out dir's name as run_id, so the name is fixed
     out = tmp_path / env / "run"
     config = load_run_config(flag_overrides={
@@ -41,8 +79,19 @@ def test_seed_0_poem_run_and_evaluation_keep_their_bytes(tmp_path, env):
         ("run", "total_timesteps"): "1024",
         ("run", "checkpoint_every"): "0",
         ("run", "out_dir"): str(out),
+        **(overrides or {}),
     }, environ={})
     result = harness.train(config)
     harness.evaluate(result.checkpoint_path, n_episodes=2, seed_base=10_000)
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_FILES)
-    assert dict(zip(GOLDEN_FILES, digests)) == dict(zip(GOLDEN_FILES, GOLDEN_SHA256[env]))
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_FILES}
+
+
+@pytest.mark.parametrize("env", sorted(GOLDEN_SHA256))
+def test_seed_0_poem_run_and_evaluation_keep_their_bytes(tmp_path, env):
+    assert run_digests(tmp_path, env) == dict(zip(GOLDEN_FILES, GOLDEN_SHA256[env]))
+
+
+@pytest.mark.parametrize("case", sorted(VARIANT_SHA256), ids=lambda c: f"{c[0]}-{c[1][1]}={c[2]}")
+def test_variant_scoring_paths_keep_their_bytes(tmp_path, case):
+    env, key, value = case
+    assert run_digests(tmp_path, env, {key: value}) == dict(zip(GOLDEN_FILES, VARIANT_SHA256[case]))

@@ -150,7 +150,7 @@ class TestGradient:
             w = rng.normal(size=sizes[-1])
 
             def loss_fn(out):
-                return ad.tmean(ad.square(ad.tanh(ops.matmul(out, ad.constant(w[:, None])))))
+                return ad.tmean(ad.square(ops.tanh(ops.matmul(out, ad.constant(w[:, None])))))
 
             analytic = tape_gradient(spec, pv, x, loss_fn).data
 

@@ -6,6 +6,7 @@ import pytest
 
 from poemrl import nn, poem, ppo
 from poemrl import policy as pol
+from poemrl.autodiff import NumericalError
 from poemrl.poem import TRIGGER_OFF, EmaTracker, PoemConfig
 from poemrl.ppo import PpoConfig
 from poemrl.rollout import RolloutBatch, compute_gae
@@ -20,8 +21,12 @@ def small_ppo_cfg(**kw):
 
 
 def gaussian_batch(ac, rng, n=16):
+    """A rollout batch of random pairs; categorical heads get action indices."""
     obs = rng.normal(size=(n, ac.obs_dim()))
-    actions = rng.normal(size=(n, ac.head.action_dim))
+    if hasattr(ac.head, "n_actions"):
+        actions = rng.integers(0, ac.head.n_actions, size=n)
+    else:
+        actions = rng.normal(size=(n, ac.head.action_dim))
     batch = RolloutBatch(
         obs=obs,
         actions=actions,
@@ -91,6 +96,16 @@ class TestKlDivergenceMc:
             - pol.logp_batch(ac, obs, actions, policy_params=other)[0]
         )
         assert poem.kl_divergence_mc(ac, other, mb) == expected
+
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_returned_log_probs_are_the_estimates_terms(self, rng, make):
+        ac = make(seed=3)
+        mb = gaussian_batch(ac, rng)
+        ref = ac.policy_params() + 0.05
+        d_post, lp_cur, lp_ref = poem.kl_divergence_mc(ac, ref, mb, return_logps=True)
+        assert d_post == poem.kl_divergence_mc(ac, ref, mb)
+        assert np.array_equal(lp_cur, pol.logp_batch(ac, mb.obs, mb.actions))
+        assert np.array_equal(lp_ref, pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ref))
 
     def test_matches_closed_form_gaussian_kl(self):
         # oracle: KL(N(m1,s1) || N(m2,s2)) in closed form, sampled at N=1e5
@@ -212,6 +227,36 @@ class TestMutateAndSelect:
         best = int(np.argmin(losses))
         assert np.array_equal(out.params.data, cands[best])
         assert metrics.mutation_accepted == (best != 0)
+
+    @pytest.mark.parametrize("scope", poem.MUTATE_SCOPES)
+    @pytest.mark.parametrize("alpha_ent", [0.0, 0.01])
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_four_candidates_match_exhaustive_oracle(self, rng, make, alpha_ent, scope):
+        # every score equals a full `total_loss` of a freshly built candidate
+        ac = make(seed=6)
+        ac.params.data[:] = rng.normal(scale=0.4, size=len(ac.params))
+        mb = gaussian_batch(ac, rng).minibatch(np.arange(16))
+        pcfg = small_ppo_cfg(alpha_ent=alpha_ent)
+        mcfg = PoemConfig(n_candidates=4, mutate_scope=scope, lambda_div=0.05)
+        ema = ac.policy_params() + 0.02
+        n_mutated = ac.n_policy if scope == "actor_only" else len(ac.params)
+        for trial in range(10):
+            sigma = float(rng.uniform(0.0, 0.3))
+            out, metrics = poem.mutate_and_select(ac, ema, mb, sigma, pcfg, mcfg,
+                                                  np.random.default_rng(trial), d_post=0.0)
+            replay = np.random.default_rng(trial)
+            losses = [poem.total_loss(ac, ema, mb, pcfg, mcfg).l_total]
+            cands = [ac.params.data]
+            for _ in range(mcfg.n_candidates):
+                data = ac.params.data.copy()
+                data[:n_mutated] += sigma * replay.standard_normal(n_mutated)
+                cands.append(data)
+                losses.append(poem.total_loss(ac.with_params(data), ema, mb, pcfg, mcfg).l_total)
+            best = int(np.argmin(losses))
+            assert np.array_equal(out.params.data, cands[best])
+            assert metrics.mutation_accepted == (best != 0)
+            assert metrics.l_total_before == losses[0]
+            assert metrics.l_total_after == losses[best]
 
     def test_replay_is_deterministic(self, rng):
         ac, mb, pcfg, mcfg = self._setup(rng, seed=7)
@@ -339,3 +384,119 @@ class TestPoemUpdate:
                 break
         else:
             pytest.fail("no accepted mutation in 30 seeded tries")
+
+
+class TestUpdateWork:
+    """How many forward passes and tape nodes a POEM minibatch costs."""
+
+    @staticmethod
+    def passes_per_call(monkeypatch):
+        """Count `nn.forward_batch` calls made inside each probe and trigger."""
+        passes = {"total": 0, "probe": [], "trigger": []}
+        forward = nn.forward_batch
+
+        def counted(*args):
+            passes["total"] += 1
+            return forward(*args)
+
+        def within(name, fn):
+            def wrapped(*args, **kwargs):
+                before = passes["total"]
+                result = fn(*args, **kwargs)
+                passes[name].append(passes["total"] - before)
+                return result
+
+            return wrapped
+
+        monkeypatch.setattr(nn, "forward_batch", counted)
+        monkeypatch.setattr(poem, "kl_divergence_mc", within("probe", poem.kl_divergence_mc))
+        monkeypatch.setattr(poem, "mutate_and_select", within("trigger", poem.mutate_and_select))
+        return passes
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("scope,alpha_ent,per_candidate,extra", [
+        ("actor_only", 0.0, 1, 0),
+        ("actor_and_critic", 0.0, 2, 0),
+        ("actor_only", 0.01, 1, None),  # a counted categorical entropy costs the incumbent a pass
+    ], ids=["actor_only", "actor_and_critic", "actor_only-entropy"])
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_trigger_runs_one_critic_pass_and_one_actor_pass_per_candidate(
+        self, rng, monkeypatch, make, scope, alpha_ent, per_candidate, extra, k
+    ):
+        ac = make(seed=15)
+        batch = gaussian_batch(ac, rng, n=16)
+        cfg = small_ppo_cfg(epochs=1, alpha_ent=alpha_ent)
+        pc = PoemConfig(delta=10.0, n_candidates=k, mutate_scope=scope)  # trigger on every minibatch
+        passes = self.passes_per_call(monkeypatch)
+        poem.poem_update(ac, poem.init_tracker(ac, pc.beta), batch, cfg, pc,
+                         nn.init_adam(len(ac.params), lr=cfg.learning_rate),
+                         np.random.default_rng(1), np.random.default_rng(2))
+        if extra is None:
+            extra = int(make is make_categorical_ac)
+        assert passes["probe"] == [2, 2]
+        assert passes["trigger"] == [1 + extra + per_candidate * k] * 2
+
+    def test_mcc_poem_gradient_step_tensor_count(self, monkeypatch):
+        # one node per network, per fused loss term, per leaf and per remaining op
+        from poemrl import envs, harness
+        from poemrl.autodiff import Tensor
+        from poemrl.config import load_run_config
+
+        cfg = load_run_config(flag_overrides={("run", "env"): "mountain_car_continuous"}, environ={})
+        ac = harness.build_actor_critic(envs.make_env(cfg.env_id), cfg.hidden_sizes, 0, cfg.log_std_init)
+        mb = gaussian_batch(ac, np.random.default_rng(0), n=cfg.ppo.minibatch_size).minibatch(
+            np.arange(cfg.ppo.minibatch_size))
+        created = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        ppo.apply_minibatch_step(ac, mb, cfg.ppo, nn.init_adam(len(ac.params)), cfg.poem.lambda_div,
+                                 ac.policy_params() + 0.01)
+        assert len(created) == 30
+
+
+class TestUpdateErrors:
+    """A numerical failure anywhere in a minibatch names that minibatch."""
+
+    def _run(self, rng):
+        ac = make_gaussian_ac(seed=16)
+        batch = gaussian_batch(ac, rng, n=32)
+        cfg = small_ppo_cfg(epochs=1)
+        pc = PoemConfig(delta=10.0)
+        return lambda: poem.poem_update(
+            ac, poem.init_tracker(ac, pc.beta), batch, cfg, pc,
+            nn.init_adam(len(ac.params), lr=cfg.learning_rate),
+            np.random.default_rng(3), np.random.default_rng(4),
+        )
+
+    def test_non_finite_probe_names_its_minibatch(self, rng, monkeypatch):
+        probe = poem.kl_divergence_mc
+        calls = []
+
+        def nan_on_fourth(ac, ema, batch, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                ema = np.full_like(ema, np.nan)  # a non-finite log-probability
+            return probe(ac, ema, batch, **kwargs)
+
+        monkeypatch.setattr(poem, "kl_divergence_mc", nan_on_fourth)
+        with pytest.raises(NumericalError, match=r"^update aborted at minibatch 3: non-finite log-probability"):
+            self._run(rng)()
+
+    def test_failed_trigger_names_its_minibatch(self, rng, monkeypatch):
+        select = poem.mutate_and_select
+        calls = []
+
+        def fail_on_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericalError("scoring failed")
+            return select(*args)
+
+        monkeypatch.setattr(poem, "mutate_and_select", fail_on_third)
+        with pytest.raises(NumericalError, match=r"^update aborted at minibatch 2: scoring failed$"):
+            self._run(rng)()

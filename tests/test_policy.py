@@ -67,6 +67,16 @@ class TestDistribution:
         with pytest.raises(NumericalError):
             pol.distribution(ac, [[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]])
 
+    def test_std_matches_the_np_clip_formula(self, rng):
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0, pol.LOG_STD_MIN, pol.LOG_STD_MAX,
+                   np.nextafter(pol.LOG_STD_MIN, -math.inf), np.nextafter(pol.LOG_STD_MAX, math.inf)]
+        log_std = np.concatenate([special, rng.normal(scale=15.0, size=200)])
+        ac = make_gaussian_ac(action_dim=len(log_std))
+        ac.log_std[:] = log_std
+        std = pol.distribution(ac, [[0.3, -0.2]])[0].std
+        expected = np.exp(np.clip(log_std, pol.LOG_STD_MIN, pol.LOG_STD_MAX))
+        assert [repr(x) for x in std.tolist()] == [repr(x) for x in expected.tolist()]
+
 
 class TestSample:
     def test_deterministic_returns_mode(self):

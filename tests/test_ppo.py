@@ -8,6 +8,7 @@ import pytest
 from poemrl import autodiff as ad
 from poemrl import nn, ppo
 from poemrl import policy as pol
+from poemrl.autodiff import Tensor
 from poemrl.ppo import LossBreakdown, PpoConfig
 from poemrl.rollout import Minibatch
 
@@ -162,6 +163,29 @@ class TestValuePathMatchesTape:
             for field in ("l_ppo", "l_vf", "entropy", "kl_div", "l_total"):
                 a, b = getattr(taped, field), getattr(numpy_bd, field)
                 assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), field
+
+
+class TestBackwardOrder:
+    """`Tensor.backward` walks the loss graph in reverse creation order; on
+    every graph `loss_graph` builds, that gives each leaf the gradient the
+    depth-first walk it replaced gives, bit for bit."""
+
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_matches_the_depth_first_walk(self, rng, make):
+        for k in range(100):
+            hidden = tuple(int(h) for h in rng.integers(2, 9, size=int(rng.integers(0, 3))))
+            ac = make(obs_dim=int(rng.integers(1, 5)), hidden=hidden, seed=k)
+            ac.params.data[:] = rng.normal(scale=0.5, size=len(ac.params))
+            mb = random_minibatch(ac, rng, n=int(rng.integers(2, 70)))
+            cfg = small_cfg(alpha_vf=(0.0, 0.5)[k % 2], alpha_ent=(0.0, 0.02)[(k // 2) % 2])
+            lambda_div = (0.0, 0.3)[(k // 4) % 2]
+            ema = ac.policy_params() + rng.normal(scale=0.05, size=ac.n_policy)
+            grads = []
+            for walk in (ops.dfs_backward, Tensor.backward):
+                leaves = nn.make_leaves(ac.params)
+                walk(ppo.loss_graph(ac, leaves, mb, cfg, lambda_div, ema)[0])
+                grads.append(nn.collect_leaf_grads(leaves, ac.params.layout))
+            assert np.array_equal(*grads), k
 
 
 class TestPpoUpdate:
