@@ -32,8 +32,7 @@ GOLDEN_SHA256 = {
 }
 
 
-# (env, one config override) -> digests, recorded before the scoring path
-# took the d_post probe's log-probs and one actor pass per candidate
+# (env, one config override) -> the digests of that variant's run
 VARIANT_SHA256 = {
     ("mountain_car_continuous", ("poem", "n_candidates"), "4"): (
         "4662abbb31c1b2f5f77fbadf46ef5cb42dfbd23b1ba8344c4cc80f946ac98b04",

@@ -414,14 +414,12 @@ class TestUpdateWork:
         return passes
 
     @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("scope,alpha_ent,per_candidate,extra", [
-        ("actor_only", 0.0, 1, 0),
-        ("actor_and_critic", 0.0, 2, 0),
-        ("actor_only", 0.01, 1, None),  # a counted categorical entropy costs the incumbent a pass
+    @pytest.mark.parametrize("scope,alpha_ent", [
+        ("actor_only", 0.0), ("actor_and_critic", 0.0), ("actor_only", 0.01),
     ], ids=["actor_only", "actor_and_critic", "actor_only-entropy"])
     @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
     def test_trigger_runs_one_critic_pass_and_one_actor_pass_per_candidate(
-        self, rng, monkeypatch, make, scope, alpha_ent, per_candidate, extra, k
+        self, rng, monkeypatch, make, scope, alpha_ent, k
     ):
         ac = make(seed=15)
         batch = gaussian_batch(ac, rng, n=16)
@@ -431,10 +429,11 @@ class TestUpdateWork:
         poem.poem_update(ac, poem.init_tracker(ac, pc.beta), batch, cfg, pc,
                          nn.init_adam(len(ac.params), lr=cfg.learning_rate),
                          np.random.default_rng(1), np.random.default_rng(2))
-        if extra is None:
-            extra = int(make is make_categorical_ac)
+        per_candidate = 2 if scope == "actor_and_critic" else 1
+        # a counted categorical entropy costs the incumbent one actor pass
+        entropy_pass = int(alpha_ent != 0.0 and make is make_categorical_ac)
         assert passes["probe"] == [2, 2]
-        assert passes["trigger"] == [1 + extra + per_candidate * k] * 2
+        assert passes["trigger"] == [1 + entropy_pass + per_candidate * k] * 2
 
     def test_mcc_poem_gradient_step_tensor_count(self, monkeypatch):
         # one node per network, per fused loss term, per leaf and per remaining op
