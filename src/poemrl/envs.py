@@ -3,13 +3,18 @@
 Both environments are stateful and single-threaded: reset(seed) seeds an
 internal generator, later reset() calls reuse it, and stepping a finished
 episode raises until the next reset.
+
+Each also steps E episodes at once: `state()` gives an env's state as a
+tuple of scalars, and the class's `step_arrays` takes those fields stacked
+into (E,) arrays, with one action row per episode, and returns what E
+scalar `step` calls would, bit for bit, as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -36,6 +41,20 @@ class StepResult:
     terminated: bool  # task-defined end
     truncated: bool  # time limit
     info: dict = field(default_factory=dict)
+
+
+class ArrayStep(NamedTuple):
+    """One step of E episodes: row j is what episode j's scalar step returns.
+    `state` is the episodes' state after the step, laid out as `state()`
+    lays it out, and `info` maps each key of the scalar step's info to an
+    (E,) array."""
+
+    state: tuple
+    obs: np.ndarray  # (E, observation_dim)
+    reward: np.ndarray
+    terminated: np.ndarray
+    truncated: np.ndarray
+    info: dict
 
 
 class MountainCarContinuous:
@@ -100,6 +119,31 @@ class MountainCarContinuous:
         self._done = terminated or truncated
         return StepResult(self._obs(), reward, terminated, truncated, {"steps": self._steps})
 
+    def state(self) -> tuple:
+        """(position, velocity, steps taken), the fields of `step_arrays`."""
+        return self._pos, self._vel, self._steps
+
+    @classmethod
+    def step_arrays(cls, state: tuple, actions: np.ndarray) -> ArrayStep:
+        """`step` for E live episodes: `actions` is a float64 (E, 1) array.
+        An infinite 3 * position raises ValueError, as math.cos does in `step`."""
+        pos, vel, steps = state
+        angle = 3.0 * pos
+        if np.count_nonzero(np.isinf(angle)):
+            raise ValueError("math domain error")
+        # np.minimum(np.maximum(x, lo), hi) is min(max(x, lo), hi), NaN included
+        a = np.minimum(np.maximum(actions[:, 0], -1.0), 1.0)
+        vel = vel + (a * cls.POWER - cls.GRAVITY_SCALE * np.cos(angle))
+        vel = np.minimum(np.maximum(vel, -cls.MAX_SPEED), cls.MAX_SPEED)
+        pos = np.minimum(np.maximum(pos + vel, cls.MIN_POSITION), cls.MAX_POSITION)
+        vel = np.where((pos == cls.MIN_POSITION) & (vel < 0.0), 0.0, vel)
+        steps = steps + 1
+
+        terminated = pos >= cls.GOAL_POSITION
+        truncated = (steps >= cls.max_episode_steps) & ~terminated
+        reward = -0.1 * a * a + terminated * 100.0  # False * 100.0 is the 0.0 that step adds
+        return ArrayStep((pos, vel, steps), _rows(pos, vel), reward, terminated, truncated, {"steps": steps})
+
 
 class SparseLander:
     """Point-mass 2D lander with a hard fuel budget and discrete engines.
@@ -127,6 +171,11 @@ class SparseLander:
     PAD_HALF_WIDTH = 0.5
     SAFE_SPEED = 1.0
     START_ALTITUDE = 10.0
+    # per action, for step_arrays: what step spends, adds and charges
+    _FUEL_COST = np.array([0.0, MAIN_FUEL, SIDE_FUEL, SIDE_FUEL])
+    _ACCEL_X = np.array([0.0, 0.0, -SIDE_ACCEL, SIDE_ACCEL])
+    _ACCEL_Y = np.array([-GRAVITY, -GRAVITY + MAIN_ACCEL, -GRAVITY, -GRAVITY])
+    _MAIN_COST = np.array([0.0, 0.03, 0.0, 0.0])
 
     def __init__(self):
         self._rng = None
@@ -206,6 +255,46 @@ class SparseLander:
         self._done = terminated or truncated
         info = {"fuel": self._fuel, "steps": self._steps}
         return StepResult(self._obs(), reward, terminated, truncated, info)
+
+    def state(self) -> tuple:
+        """(x, y, vx, vy, fuel, steps taken), the fields of `step_arrays`."""
+        return self._x, self._y, self._vx, self._vy, self._fuel, self._steps
+
+    @classmethod
+    def step_arrays(cls, state: tuple, actions: np.ndarray) -> ArrayStep:
+        """`step` for E live episodes: `actions` is an integer (E,) array."""
+        x, y, vx, vy, fuel, steps = state
+        invalid = (actions < 0) | (actions >= cls.action_space.n)
+        if np.count_nonzero(invalid):
+            raise ValueError(f"invalid action {actions[invalid][0]}")
+        a = np.where(fuel <= 0.0, 0, actions)  # engines dead on an empty tank
+
+        # x - 0.0 is x, -0.0 and NaN included, so the noop's zero rows change nothing
+        burnt = fuel - cls._FUEL_COST[a]
+        fuel = np.where((burnt > 0.0) | (a == 0), burnt, 0.0)  # max(0.0, burnt) where an engine fired
+        vx = vx + cls._ACCEL_X[a] * cls.DT
+        vy = vy + cls._ACCEL_Y[a] * cls.DT
+        x = x + vx * cls.DT
+        y = y + vy * cls.DT
+        steps = steps + 1
+
+        abs_x, abs_vx, abs_vy = np.abs(x), np.abs(vx), np.abs(vy)
+        reward = -0.3 * (abs_x + abs_vx + abs_vy) * cls.DT - cls._MAIN_COST[a]
+        landed = y <= 0.0
+        terminated = landed | (abs_x > cls.X_LIMIT)
+        if np.count_nonzero(terminated):
+            safe = landed & (abs_x <= cls.PAD_HALF_WIDTH) & (abs_vy <= cls.SAFE_SPEED) & (abs_vx <= cls.SAFE_SPEED)
+            # r - (-100.0) is r + 100.0; subtracting 0.0 leaves a live row's -0.0 as it is
+            reward = reward - np.where(terminated, np.where(safe, -100.0, 100.0), 0.0)
+        truncated = (steps >= cls.max_episode_steps) & ~terminated
+        obs = _rows(x, y, vx, vy, fuel / cls.FUEL_INIT)
+        return ArrayStep((x, y, vx, vy, fuel, steps), obs, reward, terminated, truncated,
+                         {"fuel": fuel, "steps": steps})
+
+
+def _rows(*columns: np.ndarray) -> np.ndarray:
+    """np.stack(columns, axis=1), C-ordered, without np.stack's per-call checks."""
+    return np.array(columns).T.copy()
 
 
 ENV_REGISTRY = {

@@ -10,6 +10,7 @@ processes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import struct
@@ -308,13 +309,21 @@ def evaluate(
                 algo, env_id, run_id, i, report.seeds[i],
                 repr(float(report.per_episode_rewards[i])), int(report.per_episode_steps[i]),
             ])
-    with _atomic_open(out_dir / "steps.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STEPS_COLUMNS)
-        for i, series in enumerate(report.step_series):
-            for step, cum in enumerate(series):
-                writer.writerow([algo, env_id, i, step, repr(float(cum))])
+    _write_steps_csv(out_dir / "steps.csv", algo, env_id, report.step_series)
     return report
+
+
+def _write_steps_csv(path: Path, algo: str, env_id: str, step_series: list[np.ndarray]) -> None:
+    """One row per episode step, with the bytes `csv.writer` gives: the
+    shared `algo,env,` prefix is quoted once, and the numeric fields, which
+    never need quoting, are formatted directly."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([algo, env_id, ""])
+    prefix = buf.getvalue()[: -len("\r\n")]
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(STEPS_COLUMNS)
+        for i, series in enumerate(step_series):
+            fh.writelines(f"{prefix}{i},{step},{cum!r}\r\n" for step, cum in enumerate(series.tolist()))
 
 
 # ---- comparison ------------------------------------------------------------

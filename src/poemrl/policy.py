@@ -141,9 +141,30 @@ def distribution(ac: ActorCritic, obs) -> list[DiagGaussian] | list[Categorical]
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 2 or obs.shape[1] != ac.obs_dim():
         raise ValueError(f"obs shape {obs.shape} does not match (E, {ac.obs_dim()})")
+    return _distributions(ac, _actor_pass(ac, obs))
+
+
+def act(ac: ActorCritic, obs: np.ndarray, rngs: list[np.random.Generator] | None = None) -> np.ndarray:
+    """Actions for a float64 (E, obs_dim) batch from the same stacked pass as
+    `distribution`. Without `rngs`, the mode: the means as an (E, action_dim)
+    array, or each probs row's argmax. With them, row i is
+    `sample(distribution(ac, obs)[i], rngs[i])`, drawn in row order."""
+    out = _actor_pass(ac, obs)
+    if rngs is not None:
+        return np.array([sample(dist, rng) for dist, rng in zip(_distributions(ac, out), rngs)])
+    if isinstance(ac.head, DiagGaussianHead):
+        return out
+    return _softmax_rows(out).argmax(axis=1)
+
+
+def _actor_pass(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
     out = nn.forward_batch(ac.actor_layers, _features(ac, obs[:, None, :]))[:, 0]
     if not np.isfinite(out).all():
         raise NumericalError("actor network produced non-finite output")
+    return out
+
+
+def _distributions(ac: ActorCritic, out: np.ndarray) -> list[DiagGaussian] | list[Categorical]:
     if isinstance(ac.head, DiagGaussianHead):
         # np.clip's value, NaN included, without its per-call overhead
         std = np.exp(np.minimum(np.maximum(ac.log_std, LOG_STD_MIN), LOG_STD_MAX))
@@ -225,16 +246,23 @@ def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
 
 
 def policy_graph(
-    ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray, actions: np.ndarray
-) -> tuple[Tensor, Tensor]:
-    """Build (per-sample log-prob (n,), mean entropy scalar) on the tape."""
+    ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray, actions: np.ndarray, entropy_on_tape: bool = True
+) -> tuple[Tensor, Tensor | float]:
+    """Build (per-sample log-prob (n,), mean entropy scalar) on the tape.
+    With `entropy_on_tape` False the entropy is a float, computed in numpy
+    with the tape's operations in the tape's order, so its bits are the same."""
     out = nn.forward_batch_t(ac.actor_spec, leaves, _features(ac, obs), prefix="actor.")
     if isinstance(ac.head, DiagGaussianHead):
         log_std = ad.clip(leaves["log_std"], LOG_STD_MIN, LOG_STD_MAX)
         logp = ad.diag_gaussian_logp(out, log_std, actions)
+        if not entropy_on_tape:
+            return logp, float(log_std.data.sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
         ent = ad.add(ad.tsum(log_std), ad.constant(GAUSSIAN_ENTROPY_CONST * ac.head.action_dim))
         return logp, ent
     log_all = ad.add(out, ad.mul(ad.logsumexp_rows(out), -1.0))
+    if not entropy_on_tape:
+        p_log_p = np.exp(log_all.data) * log_all.data
+        return ad.gather_rows(log_all, actions), float(p_log_p.sum(axis=1).sum() * (1.0 / len(p_log_p)) * -1.0)
     # log_all's three consumers are made in this order so that backward adds
     # their gradients as a depth-first walk of the loss would: gather first
     p_log_p = ad.mul(ad.exp(log_all), log_all)

@@ -118,9 +118,9 @@ def loss_graph(
 
     Terms with a zero coefficient are left out of the graph (their gradient
     contribution would be exactly zero anyway); their diagnostic values are
-    still reported.
+    still reported, the entropy's computed off the tape.
     """
-    logp_t, ent_t = pol.policy_graph(ac, leaves, mb.obs, mb.actions)
+    logp_t, ent = pol.policy_graph(ac, leaves, mb.obs, mb.actions, entropy_on_tape=cfg.alpha_ent != 0.0)
     l_ppo_t = ad.clipped_surrogate(logp_t, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
     loss = l_ppo_t
 
@@ -143,13 +143,13 @@ def loss_graph(
         l_vf_val = value_loss(pol.values_batch(ac, mb.obs), mb.returns)
 
     if cfg.alpha_ent != 0.0:
-        loss = ad.add(loss, ad.mul(ent_t, -cfg.alpha_ent))
-    ent_val = float(ent_t.data)
+        loss = ad.add(loss, ad.mul(ent, -cfg.alpha_ent))
+        ent = float(ent.data)
 
     breakdown = LossBreakdown(
         l_ppo=float(l_ppo_t.data),
         l_vf=l_vf_val,
-        entropy=ent_val,
+        entropy=ent,
         kl_div=kl_val,
         l_total=float(loss.data),
     )

@@ -175,10 +175,11 @@ def evaluate_policy(
     """Run n_episodes, episode i seeded with seed_base + i; the deterministic
     flag plays the distribution's mode instead of sampling.
 
-    The episodes run in lockstep, each with its own env and RNG: one stacked
-    actor pass per step serves every live episode, and an episode leaves the
-    live set when it ends. A callable env_or_id must return a fresh env on
-    every call."""
+    The episodes run in lockstep, each with its own env, seed and RNG: per
+    step, one stacked actor pass and one `step_arrays` call serve every live
+    episode, and an episode leaves the live set when it ends. A callable
+    env_or_id must return a fresh env on every call, and the envs it returns
+    must share a `step_arrays` over their `state()` fields (see `envs`)."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     make = (lambda: make_env(env_or_id)) if isinstance(env_or_id, str) else env_or_id
@@ -191,35 +192,39 @@ def evaluate_policy(
                 f"env observations ({env.observation_dim}) do not match the "
                 f"policy input ({ac.obs_dim()})"
             )
-    obs = [env.reset(seed=seed) for env, seed in zip(envs, seeds)]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    rewards = [0.0] * n_episodes
-    series = [[] for _ in seeds]  # cumulative reward per step
+    obs = np.stack([env.reset(seed=seed) for env, seed in zip(envs, seeds)])
+    state = tuple(np.array(values) for values in zip(*(env.state() for env in envs)))
+    rngs = None if deterministic else [np.random.default_rng(seed) for seed in seeds]
+    totals = np.zeros(n_episodes)
+    history = []  # totals after each step; an episode's series is its column's head
+    steps = np.zeros(n_episodes, dtype=np.int64)
     infos = [None] * n_episodes
 
-    live = list(range(n_episodes))
-    while live:
-        dists = pol.distribution(ac, np.stack([obs[i] for i in live]))
-        still_live = []
-        for i, dist in zip(live, dists):
-            result = envs[i].step(pol.sample(dist, rngs[i], deterministic=deterministic))
-            rewards[i] += result.reward
-            series[i].append(rewards[i])
-            obs[i] = result.obs
-            if result.terminated or result.truncated:
-                infos[i] = dict(result.info, terminated=result.terminated, truncated=result.truncated)
-            else:
-                still_live.append(i)
-        live = still_live
-    steps = [len(s) for s in series]
-    series = [np.asarray(s) for s in series]
+    step_arrays = envs[0].step_arrays  # the envs of one factory share it
+    live = np.arange(n_episodes)  # the episode behind each row of obs and state
+    while len(live):
+        actions = pol.act(ac, obs, None if rngs is None else [rngs[i] for i in live])
+        step = step_arrays(state, actions)
+        totals[live] += step.reward
+        history.append(totals.copy())
+        obs, state = step.obs, step.state
+        ended = step.terminated | step.truncated
+        if np.count_nonzero(ended):
+            for j in np.flatnonzero(ended):
+                i = live[j]
+                steps[i] = len(history)
+                info = {key: values[j].item() for key, values in step.info.items()}
+                infos[i] = dict(info, terminated=bool(step.terminated[j]), truncated=bool(step.truncated[j]))
+            kept = ~ended
+            live, obs, state = live[kept], obs[kept], tuple(values[kept] for values in state)
+    history = np.array(history).T
+    series = [history[i, :n].copy() for i, n in enumerate(steps)]
 
-    rewards_arr = np.asarray(rewards, dtype=np.float64)
     return EvalReport(
-        per_episode_rewards=rewards_arr,
-        per_episode_steps=np.asarray(steps, dtype=np.int64),
-        mean=float(rewards_arr.mean()),
-        std=float(rewards_arr.std(ddof=1)) if n_episodes > 1 else 0.0,
+        per_episode_rewards=totals,
+        per_episode_steps=steps,
+        mean=float(totals.mean()),
+        std=float(totals.std(ddof=1)) if n_episodes > 1 else 0.0,
         seeds=seeds,
         step_series=series,
         final_infos=infos,

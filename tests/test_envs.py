@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poemrl.envs import (
     ContinuousSpace,
@@ -297,3 +299,142 @@ class TestSparseLander:
         assert r.terminated
         with pytest.raises(RuntimeError):
             env.step(0)
+
+
+# ---- array step: step_arrays must equal E scalar steps, bit for bit --------
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+def floats_near(*edges, lo=None, hi=None):
+    """Special values, the given edges exactly, values in [lo, hi], any float."""
+    return st.one_of(
+        st.sampled_from(SPECIAL + list(edges)),
+        st.floats(lo, hi),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+
+def _steps_near_limit(env_cls):
+    last = env_cls.max_episode_steps - 1  # the next step lands on the time limit
+    return st.one_of(st.sampled_from([0, last]), st.integers(0, last))
+
+
+# the private fields behind each env's state(), in state()'s order
+STATE_FIELDS = {
+    MountainCarContinuous: ("_pos", "_vel", "_steps"),
+    SparseLander: ("_x", "_y", "_vx", "_vy", "_fuel", "_steps"),
+}
+
+
+def set_state(env, state):
+    for name, value in zip(STATE_FIELDS[type(env)], state, strict=True):
+        setattr(env, name, value)
+    env._done = False
+
+
+def _scalar_steps(env_cls, states, actions):
+    """Each row through a fresh env's scalar step: its results and the env's
+    state afterwards, or the exception it raised."""
+    rows = []
+    for state, action in zip(states, actions):
+        env = env_cls()
+        env.reset(seed=0)
+        set_state(env, state)
+        try:
+            r = env.step(action)
+        except Exception as err:  # noqa: BLE001 - the array step must raise alike
+            return err
+        rows.append((r, env.state()))
+    return rows
+
+
+def _float_repr(x) -> str:
+    # repr tells -0.0 from 0.0 and keeps every bit of a finite float;
+    # steps.csv writes floats with repr
+    return repr(float(x))
+
+
+def assert_array_step_matches_scalar(env_cls, states, actions):
+    want = _scalar_steps(env_cls, states, actions)
+    stacked = tuple(np.array(values) for values in zip(*states))
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)):
+            env_cls.step_arrays(stacked, np.array(actions))
+        return
+    got = env_cls.step_arrays(stacked, np.array(actions))
+    for j, (r, state_after) in enumerate(want):
+        assert [_float_repr(v) for v in got.obs[j]] == [_float_repr(v) for v in r.obs], j
+        assert got.obs.flags.c_contiguous
+        assert _float_repr(got.reward[j]) == _float_repr(r.reward), j
+        assert (bool(got.terminated[j]), bool(got.truncated[j])) == (r.terminated, r.truncated), j
+        info = {key: values[j].item() for key, values in got.info.items()}
+        assert repr(info) == repr(r.info), j
+        assert repr(tuple(values[j].item() for values in got.state)) == repr(state_after), j
+
+
+car = MountainCarContinuous
+CAR_ROW = st.tuples(
+    st.tuples(
+        floats_near(car.MIN_POSITION, car.MAX_POSITION, car.GOAL_POSITION, lo=-1.4, hi=0.8),
+        floats_near(car.MAX_SPEED, -car.MAX_SPEED, lo=-0.1, hi=0.1),
+        _steps_near_limit(car),
+    ),
+    floats_near(1.0, -1.0, lo=-1.5, hi=1.5).map(lambda a: [a]),
+)
+lander = SparseLander
+LANDER_ROW = st.tuples(
+    st.tuples(
+        floats_near(lander.PAD_HALF_WIDTH, -lander.PAD_HALF_WIDTH, lander.X_LIMIT, -lander.X_LIMIT, lo=-6, hi=6),
+        floats_near(lo=-0.5, hi=0.5),
+        floats_near(lander.SAFE_SPEED, -lander.SAFE_SPEED, lo=-2, hi=2),
+        floats_near(lander.SAFE_SPEED, -lander.SAFE_SPEED, lo=-2, hi=2),
+        floats_near(lander.MAIN_FUEL, lander.SIDE_FUEL, lander.FUEL_INIT, lo=-1, hi=5),
+        _steps_near_limit(lander),
+    ),
+    st.integers(0, lander.action_space.n - 1),
+)
+
+
+def batches(row):
+    return st.sampled_from([1, 3, 15]).flatmap(lambda e: st.lists(row, min_size=e, max_size=e))
+
+
+class TestArrayStep:
+    @settings(max_examples=300, deadline=None)
+    @given(batches(CAR_ROW))
+    def test_mountain_car_matches_scalar_steps(self, rows):
+        states, actions = zip(*rows)
+        with np.errstate(all="ignore"):  # inf - inf and overflow, as in step
+            assert_array_step_matches_scalar(MountainCarContinuous, states, actions)
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches(LANDER_ROW))
+    def test_lander_matches_scalar_steps(self, rows):
+        states, actions = zip(*rows)
+        with np.errstate(all="ignore"):
+            assert_array_step_matches_scalar(SparseLander, states, actions)
+
+    @pytest.mark.parametrize("env_cls, rows", [
+        # the goal on the time-limit step: terminated wins, truncated stays False
+        (car, [((0.449, 0.07, 998), [1.0]), ((-0.5, 0.0, 998), [0.0]), ((0.3, 0.0, 5), [0.0])]),
+        # an infinite position makes math.cos raise; the array step raises too
+        (car, [((-0.5, 0.0, 0), [0.0]), ((math.inf, 0.0, 0), [0.0])]),
+        # a touchdown on the time-limit step beside a live row whose reward is
+        # -0.0, and fuel at 0 and at exactly one burn
+        (lander, [((0.0, 0.01, 0.0, -0.5, 600.0, 999), 0), ((0.0, 5.0, 0.0, 0.0, 600.0, 999), 0),
+                  ((0.0, 5.0, 0.0, lander.GRAVITY * lander.DT, 600.0, 0), 0),
+                  ((0.0, 5.0, 0.0, 0.0, 0.0, 3), 1), ((0.0, 5.0, 0.0, 0.0, lander.MAIN_FUEL, 3), 1),
+                  ((0.0, 5.0, 0.0, 0.0, lander.SIDE_FUEL, 3), 3), ((0.0, 0.0, 0.0, 0.0, -0.0, 0), 2)]),
+        # one invalid action fails the whole array step, as it fails step
+        (lander, [((0.0, 5.0, 0.0, 0.0, 600.0, 0), 1), ((0.0, 5.0, 0.0, 0.0, 0.0, 0), 4)]),
+        (lander, [((0.0, 5.0, 0.0, 0.0, 600.0, 0), -1)]),
+    ], ids=["car-goal-at-limit", "car-infinite-position", "lander-edges", "lander-invalid", "lander-negative"])
+    def test_edge_rows(self, env_cls, rows):
+        states, actions = zip(*rows)
+        assert_array_step_matches_scalar(env_cls, states, actions)
+
+    def test_goal_at_time_limit_is_terminated_not_truncated(self):
+        got = car.step_arrays((np.array([0.449]), np.array([0.07]), np.array([998])), np.array([[1.0]]))
+        assert got.terminated.tolist() == [True] and got.truncated.tolist() == [False]
+        assert got.info["steps"].tolist() == [999]

@@ -2,7 +2,9 @@
 tune, and the CLI wiring."""
 
 import csv
+import io
 import json
+import math
 import struct
 from dataclasses import replace
 
@@ -247,6 +249,26 @@ class TestEvaluate:
             evaluate(result.checkpoint_path, n_episodes=2, seed_base=6, out_dir=tmp_path / "fresh")
         assert {p.name: p.read_bytes() for p in result.out_dir.iterdir()} == before
         assert list((tmp_path / "fresh").iterdir()) == []
+
+    @pytest.mark.parametrize("algo", ["poem", "a,b", 'we"ird'])
+    def test_steps_csv_bytes_match_csv_writer(self, tmp_path, monkeypatch, algo):
+        # a checkpoint header can carry any algo string; the bulk writer must
+        # quote it as csv.writer does and write each cumulative reward's repr
+        env_id = "mountain_car_continuous"
+        ac = harness.build_actor_critic(make_env(env_id), (4,), 0)
+        save_checkpoint(tmp_path / "ckpt.bin", ac, env_id, algo)
+        real = stats.evaluate_policy(env_id, ac, 2, seed_base=3)
+        series = [np.array([math.nan, math.inf, -math.inf, -0.0, 1e-05, 0.1 + 0.2]), real.step_series[1]]
+        monkeypatch.setattr(harness.stats, "evaluate_policy", lambda *args: replace(real, step_series=series))
+        evaluate(tmp_path / "ckpt.bin", n_episodes=2, seed_base=3)
+
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(harness.STEPS_COLUMNS)
+        for i, cumulative in enumerate(series):
+            for step, cum in enumerate(cumulative):
+                writer.writerow([algo, env_id, i, step, repr(float(cum))])
+        assert (tmp_path / "steps.csv").read_bytes() == want.getvalue().encode("utf-8")
 
     def test_env_mismatch_rejected(self, tmp_path):
         result = train(tiny_config(tmp_path, algo="ppo", seed=2))

@@ -455,7 +455,7 @@ class TestUpdateWork:
         monkeypatch.setattr(Tensor, "__init__", counted)
         ppo.apply_minibatch_step(ac, mb, cfg.ppo, nn.init_adam(len(ac.params)), cfg.poem.lambda_div,
                                  ac.policy_params() + 0.01)
-        assert len(created) == 30
+        assert len(created) == 27
 
 
 class TestUpdateErrors:

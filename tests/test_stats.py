@@ -10,7 +10,7 @@ import pytest
 
 from poemrl import harness, policy as pol, stats
 from poemrl.autodiff import NumericalError
-from poemrl.envs import ContinuousSpace, StepResult, make_env
+from poemrl.envs import ArrayStep, ContinuousSpace, StepResult, make_env
 from poemrl.stats import EvalReport, compare_runs, evaluate_policy, regularized_incomplete_beta, welch_t_test
 
 from conftest import make_categorical_ac, make_gaussian_ac, one_row_distribution
@@ -138,6 +138,14 @@ class StubEnv:
     def step(self, action):
         return StepResult(np.array([1.0, 1.0]), 1.0, True, False, {})
 
+    def state(self):
+        return (self._seed,)
+
+    @staticmethod
+    def step_arrays(state, actions):
+        n = len(actions)
+        return ArrayStep(state, np.ones((n, 2)), np.ones(n), np.ones(n, dtype=bool), np.zeros(n, dtype=bool), {})
+
 
 class TestEvaluatePolicy:
     def test_constant_reward_stub(self):
@@ -256,6 +264,20 @@ class StaggeredEnv:
         reward = float(np.sum(action)) + 0.01 * self.t
         odd = self.seed % 2 == 1
         return StepResult(obs, reward, done and not odd, done and odd, {"seed": self.seed, "t": self.t})
+
+    def state(self):
+        return self.seed, self.t
+
+    @staticmethod
+    def step_arrays(state, actions):
+        # `step` for E episodes; a categorical action is one number per row
+        seed, t = state
+        t = t + 1
+        done = t >= 1 + seed % 7
+        obs = np.stack([0.1 * (seed % 5) + 0.05 * t, -0.03 * t], axis=1)
+        reward = np.asarray(actions, dtype=np.float64).reshape(len(seed), -1).sum(axis=1) + 0.01 * t
+        odd = seed % 2 == 1
+        return ArrayStep((seed, t), obs, reward, done & ~odd, done & odd, {"seed": seed, "t": t})
 
 
 def perturbed(ac, seed):
