@@ -151,15 +151,20 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCritic, dict]:
         raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     if header["head_kind"] not in HEAD_KINDS:
         raise ValueError(f"{path}: unknown head_kind {header['head_kind']!r}, expected one of {HEAD_KINDS}")
-    head_cls = DiagGaussianHead if header["head_kind"] == "diag_gaussian" else CategoricalHead
+    obs_dim, head_dim, hidden = header["obs_dim"], header["head_dim"], header["hidden_sizes"]
+    if not isinstance(hidden, list) or not all(type(n) is int for n in (obs_dim, head_dim, *hidden)):
+        raise ValueError(f"{path}: bad checkpoint: obs_dim, head_dim and hidden_sizes must be integers")
+    gaussian = header["head_kind"] == "diag_gaussian"
     try:
-        head = head_cls(int(header["head_dim"]))
-        ac = ActorCritic.create(
-            int(header["obs_dim"]), head, tuple(int(h) for h in header["hidden_sizes"]), seed=0,
-            obs_scale=header.get("obs_scale"),
-        )
+        # sized from the header before anything is allocated: a huge size must not reach init_params
+        n_params = (nn.MlpSpec((obs_dim, *hidden, head_dim)).n_params + (head_dim if gaussian else 0)
+                    + nn.MlpSpec((obs_dim, *hidden, 1)).n_params)
+        if len(raw) - off != 4 + 8 * n_params:
+            raise ValueError(f"its sizes need {n_params} parameters, it holds {max(len(raw) - off - 4, 0) // 8}")
+        head = DiagGaussianHead(head_dim) if gaussian else CategoricalHead(head_dim)
+        ac = ActorCritic.create(obs_dim, head, tuple(hidden), seed=0, obs_scale=header.get("obs_scale"))
         params = nn.params_from_bytes(raw[off:], ac.params.layout)
-    except (TypeError, ValueError) as err:  # a value of the wrong type, or a size that does not fit
+    except (TypeError, ValueError) as err:  # an obs_scale or a size that does not fit
         raise ValueError(f"{path}: bad checkpoint: {err}") from None
     return ac.with_params(params.data), header
 
@@ -389,7 +394,7 @@ def compare(
             "alpha": alpha,
         })
     if out_path is not None:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        with _atomic_open(Path(out_path), "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
@@ -487,11 +492,12 @@ def tune(spec: TuneSpec, base_config: RunConfig, out_dir: str | Path) -> TuneRes
             best_trial, best_score, best_config = trial, score, cfg
 
     trials_path = out_root / "trials.csv"
-    with open(trials_path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(trials_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["trial", "score", *tuned_keys])
         writer.writeheader()
         writer.writerows(rows)
     if best_config is None:  # every trial failed; fall back to the center
         best_config, best_trial, best_score = base_config, -1, -np.inf
-    (out_root / "best_config.ini").write_text(config_to_text(best_config), encoding="utf-8")
+    with _atomic_open(out_root / "best_config.ini", "w", encoding="utf-8") as fh:
+        fh.write(config_to_text(best_config))
     return TuneResult(best_config, best_trial, best_score, trials_path)

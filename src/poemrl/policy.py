@@ -38,7 +38,7 @@ class CategoricalHead:
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """Per-dimension mean and std of an unsquashed Gaussian action."""
+    """Unsquashed Gaussian actions: (E, action_dim) means, one (action_dim,) std."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -46,7 +46,7 @@ class DiagGaussian:
 
 @dataclass(frozen=True)
 class Categorical:
-    probs: np.ndarray
+    probs: np.ndarray  # (E, n_actions)
 
 
 @dataclass
@@ -130,28 +130,31 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# ---- acting: one distribution per observation ----------------------------
+# ---- acting: one distribution per stacked actor pass ---------------------
 
 
-def distribution(ac: ActorCritic, obs) -> list[DiagGaussian] | list[Categorical]:
+def distribution(ac: ActorCritic, obs) -> DiagGaussian | Categorical:
     """The action distributions pi(.|obs_i) of an (E, obs_dim) batch under the
-    current parameters. The actor runs once on the stacked (E, 1, obs_dim)
-    input, so each row rounds exactly as a one-row pass would; a 2-D
-    (E, obs_dim) pass would not."""
+    current parameters, one row each. The actor runs once on the stacked
+    (E, 1, obs_dim) input, so each row rounds exactly as a one-row pass
+    would; a 2-D (E, obs_dim) pass would not."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 2 or obs.shape[1] != ac.obs_dim():
         raise ValueError(f"obs shape {obs.shape} does not match (E, {ac.obs_dim()})")
-    return _distributions(ac, _actor_pass(ac, obs))
+    out = _actor_pass(ac, obs)
+    if isinstance(ac.head, DiagGaussianHead):
+        # np.clip's value, NaN included, without its per-call overhead
+        return DiagGaussian(mean=out, std=np.exp(np.minimum(np.maximum(ac.log_std, LOG_STD_MIN), LOG_STD_MAX)))
+    return Categorical(probs=_softmax_rows(out))
 
 
 def act(ac: ActorCritic, obs: np.ndarray, rngs: list[np.random.Generator] | None = None) -> np.ndarray:
-    """Actions for a float64 (E, obs_dim) batch from the same stacked pass as
-    `distribution`. Without `rngs`, the mode: the means as an (E, action_dim)
-    array, or each probs row's argmax. With them, row i is
-    `sample(distribution(ac, obs)[i], rngs[i])`, drawn in row order."""
-    out = _actor_pass(ac, obs)
+    """Actions for a float64 (E, obs_dim) batch. Without `rngs`, the mode of
+    one stacked actor pass: the means as an (E, action_dim) array, or each
+    probs row's argmax. With them, `sample(distribution(ac, obs), rngs)`."""
     if rngs is not None:
-        return np.array([sample(dist, rng) for dist, rng in zip(_distributions(ac, out), rngs)])
+        return sample(distribution(ac, obs), rngs)
+    out = _actor_pass(ac, obs)
     if isinstance(ac.head, DiagGaussianHead):
         return out
     return _softmax_rows(out).argmax(axis=1)
@@ -164,25 +167,15 @@ def _actor_pass(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distributions(ac: ActorCritic, out: np.ndarray) -> list[DiagGaussian] | list[Categorical]:
-    if isinstance(ac.head, DiagGaussianHead):
-        # np.clip's value, NaN included, without its per-call overhead
-        std = np.exp(np.minimum(np.maximum(ac.log_std, LOG_STD_MIN), LOG_STD_MAX))
-        return [DiagGaussian(mean=mean, std=std) for mean in out]
-    return [Categorical(probs=probs) for probs in _softmax_rows(out)]
-
-
-def sample(dist: DiagGaussian | Categorical, rng: np.random.Generator, deterministic: bool = False):
-    """Draw an action; deterministic mode returns the mean / argmax."""
+def sample(dist: DiagGaussian | Categorical, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One action per row, row i drawn from rngs[i] in row order: a float64
+    (E, action_dim) array, or an int64 (E,) array of action indices."""
     if isinstance(dist, DiagGaussian):
-        if deterministic:
-            return dist.mean.copy()
-        return dist.mean + dist.std * rng.standard_normal(dist.mean.shape)
-    if deterministic:
-        return int(np.argmax(dist.probs))
+        return dist.mean + dist.std * np.array([rng.standard_normal(dist.std.shape) for rng in rngs])
     # inverse-CDF draw so replaying the generator state replays the action
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(dist.probs), u, side="right").clip(0, len(dist.probs) - 1))
+    cdf = np.cumsum(dist.probs, axis=1)
+    drawn = np.array([np.searchsorted(row, rng.random(), side="right") for row, rng in zip(cdf, rngs)])
+    return drawn.clip(0, cdf.shape[1] - 1)
 
 
 def value(ac: ActorCritic, obs) -> float:

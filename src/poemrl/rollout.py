@@ -91,7 +91,7 @@ def collect(
     cut_off = []  # states where a time limit ended an episode, in step order
 
     for t in range(n_steps):
-        action = pol.sample(pol.distribution(ac, obs[None])[0], rng)
+        action = pol.act(ac, obs[None], [rng])[0]
         obs_buf[t] = obs
         act_buf[t] = action
 

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from poemrl import nn
-from poemrl.policy import (
-    LOG_STD_MAX, LOG_STD_MIN, ActorCritic, Categorical, CategoricalHead, DiagGaussian, DiagGaussianHead,
-)
+from poemrl.policy import ActorCritic, CategoricalHead, DiagGaussianHead
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -37,17 +34,6 @@ def make_gaussian_ac(obs_dim=2, action_dim=1, hidden=(4,), seed=0) -> ActorCriti
 
 def make_categorical_ac(obs_dim=2, n_actions=3, hidden=(4,), seed=0) -> ActorCritic:
     return ActorCritic.create(obs_dim, CategoricalHead(n_actions), hidden, seed=seed)
-
-
-def one_row_distribution(ac: ActorCritic, obs) -> DiagGaussian | Categorical:
-    """pi(.|obs) from a one-row (1, obs_dim) actor pass, the reference that the
-    stacked pass in `policy.distribution` must equal bit for bit."""
-    x = np.asarray(obs, dtype=np.float64)[None, :] * ac.obs_scale
-    out = nn.forward_batch(ac.actor_layers, x)[0]
-    if isinstance(ac.head, DiagGaussianHead):
-        return DiagGaussian(mean=out, std=np.exp(np.clip(ac.log_std, LOG_STD_MIN, LOG_STD_MAX)))
-    e = np.exp(out - out.max())
-    return Categorical(probs=e / e.sum())
 
 
 @pytest.fixture

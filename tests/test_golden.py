@@ -4,8 +4,10 @@ files across refactors.
 A short run on each env covers both action heads and the mutation path.
 The variant cases cover scoring paths that no default run takes: four
 candidates per trigger, mutating the critic too, and a categorical head
-whose entropy term counts in the score. A change that alters trajectories
-on purpose updates these digests and says so in CHANGES.md.
+whose entropy term counts in the score. The sampled cases evaluate the
+same checkpoints with the stochastic policy, one RNG per episode. A change
+that alters trajectories on purpose updates these digests and says so in
+CHANGES.md.
 """
 
 import hashlib
@@ -67,8 +69,25 @@ VARIANT_SHA256 = {
 }
 
 
-def run_digests(tmp_path, env, overrides=None) -> dict:
-    """Digests of a seed-0, 1,024-step POEM run on `env` and its evaluation."""
+# env -> the digests of episodes.csv and steps.csv from a sampled evaluation
+SAMPLED_EVAL_SHA256 = {
+    "mountain_car_continuous": (
+        "d148bf4b5ca71b245e5b00f73c3390ae3320ca30f087c48de779bab5ed1fbd61",
+        "235313b51b21a7d3adc23268612f1f72507cf00dc8e3649a73d90cc2bec1fca8",
+    ),
+    "sparse_lander": (
+        "00aadb40284ea85cccff3d5e76297740449954ac409867294e84f1b815cfe5a2",
+        "22f40f36b3c9544e6c459b87171984031e4f7239374a80e9fd6892c3749d0bb9",
+    ),
+}
+
+
+def digests(out, names) -> tuple:
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
+
+
+def train_run(tmp_path, env, overrides=None) -> harness.TrainResult:
+    """A seed-0, 1,024-step POEM run on `env`."""
     # episodes.csv records the out dir's name as run_id, so the name is fixed
     out = tmp_path / env / "run"
     config = load_run_config(flag_overrides={
@@ -80,9 +99,14 @@ def run_digests(tmp_path, env, overrides=None) -> dict:
         ("run", "out_dir"): str(out),
         **(overrides or {}),
     }, environ={})
-    result = harness.train(config)
+    return harness.train(config)
+
+
+def run_digests(tmp_path, env, overrides=None) -> dict:
+    """Digests of a seed-0, 1,024-step POEM run on `env` and its evaluation."""
+    result = train_run(tmp_path, env, overrides)
     harness.evaluate(result.checkpoint_path, n_episodes=2, seed_base=10_000)
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_FILES}
+    return dict(zip(GOLDEN_FILES, digests(result.out_dir, GOLDEN_FILES)))
 
 
 @pytest.mark.parametrize("env", sorted(GOLDEN_SHA256))
@@ -94,3 +118,11 @@ def test_seed_0_poem_run_and_evaluation_keep_their_bytes(tmp_path, env):
 def test_variant_scoring_paths_keep_their_bytes(tmp_path, case):
     env, key, value = case
     assert run_digests(tmp_path, env, {key: value}) == dict(zip(GOLDEN_FILES, VARIANT_SHA256[case]))
+
+
+@pytest.mark.parametrize("env", sorted(SAMPLED_EVAL_SHA256))
+def test_sampled_evaluation_keeps_its_bytes(tmp_path, env):
+    result = train_run(tmp_path, env)
+    out = tmp_path / env / "sampled"
+    harness.evaluate(result.checkpoint_path, n_episodes=3, seed_base=10_000, deterministic=False, out_dir=out)
+    assert digests(out, ("episodes.csv", "steps.csv")) == SAMPLED_EVAL_SHA256[env]

@@ -133,7 +133,10 @@ class TestCheckpointHeader:
         err = self._evaluate_error(path, capsys)
         assert str(path) in err and "head_kind" in err
 
-    @pytest.mark.parametrize("key,value", [("head_dim", None), ("obs_dim", "two"), ("hidden_sizes", 4)])
+    @pytest.mark.parametrize("key,value", [
+        ("head_dim", None), ("obs_dim", "two"), ("hidden_sizes", 4),
+        ("head_dim", True), ("obs_dim", 2.0), ("hidden_sizes", [4.0]), ("hidden_sizes", [False]),
+    ])
     def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, key, value):
         path = self._checkpoint(tmp_path)
         rewrite_header(path, lambda h: h.update({key: value}))
@@ -146,6 +149,22 @@ class TestCheckpointHeader:
         rewrite_header(path, lambda h: h.update(obs_scale=scale))
         err = self._evaluate_error(path, capsys)
         assert str(path) in err and "obs_scale" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("hidden_sizes", [10**8, 10**8]), ("obs_dim", 10**12), ("head_dim", 2**62), ("hidden_sizes", [5]),
+        ("obs_dim", 0), ("hidden_sizes", [4, -1]),
+    ])
+    def test_sizes_that_do_not_fit_fail_before_any_allocation(self, tmp_path, capsys, monkeypatch, key, value):
+        # the first three sizes are ones no allocator can satisfy
+        path = self._checkpoint(tmp_path)
+        rewrite_header(path, lambda h: h.update({key: value}))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("init_params reached")
+
+        monkeypatch.setattr(harness.nn, "init_params", unreachable)
+        err = self._evaluate_error(path, capsys)
+        assert str(path) in err and "bad checkpoint" in err
 
     def test_header_that_is_not_an_object_is_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
@@ -371,6 +390,53 @@ class TestTune:
         r1 = harness.tune(spec, base, tmp_path / "t1")
         r2 = harness.tune(spec, base, tmp_path / "t2")
         assert r1.trials_path.read_text() == r2.trials_path.read_text()
+
+
+class FailingDictWriter(csv.DictWriter):
+    """Writes the header and the first row, then fails as a full disk would."""
+
+    def writerows(self, rows):
+        self.writerow(rows[0])
+        raise OSError("disk full")
+
+
+class TestAtomicOutputs:
+    def test_failed_compare_table_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        root = tmp_path / "set"
+        synthetic_run_set(root, "ppo", "mountain_car_continuous", [1.0, 2.0, 3.0])
+        old, fresh = tmp_path / "out" / "old.csv", tmp_path / "out" / "fresh.csv"
+        old.parent.mkdir()
+        old.write_bytes(b"an earlier table")
+        monkeypatch.setattr(harness.csv, "DictWriter", FailingDictWriter)
+        for path in (old, fresh):
+            with pytest.raises(OSError, match="disk full"):
+                compare(root, root, out_path=path)
+        assert [p.name for p in old.parent.iterdir()] == ["old.csv"]
+        assert old.read_bytes() == b"an earlier table"
+
+    def test_failed_trials_csv_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        from poemrl.config import TuneSpec
+
+        monkeypatch.setattr(harness.csv, "DictWriter", FailingDictWriter)
+        spec = TuneSpec(n_trials=2, trial_timesteps=128, eval_episodes=1, seed=3)
+        with pytest.raises(OSError, match="disk full"):
+            harness.tune(spec, tiny_config(tmp_path, algo="ppo", seed=5), tmp_path / "tune")
+        assert sorted(p.name for p in (tmp_path / "tune").iterdir()) == ["trial_000", "trial_001"]
+
+    def test_failed_best_config_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        from poemrl.config import TuneSpec
+
+        real, calls = harness.config_to_text, []
+
+        def config_text(config):  # the trial's config.ini, then best_config.ini, which cannot be encoded
+            calls.append(config)
+            return real(config) + ("\ud800" if len(calls) > 1 else "")
+
+        monkeypatch.setattr(harness, "config_to_text", config_text)
+        spec = TuneSpec(n_trials=1, trial_timesteps=128, eval_episodes=1, seed=3)
+        with pytest.raises(UnicodeEncodeError):
+            harness.tune(spec, tiny_config(tmp_path, algo="ppo", seed=5), tmp_path / "tune")
+        assert sorted(p.name for p in (tmp_path / "tune").iterdir()) == ["trial_000", "trials.csv"]
 
 
 class TestCli:

@@ -1,18 +1,20 @@
 """Policy heads: distributions, log-probs, entropy, values, and their
 agreement with quadrature / Monte-Carlo / finite-difference oracles."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from poemrl import nn, policy as pol
 from poemrl.autodiff import NumericalError
 from poemrl.policy import ActorCritic, Categorical, DiagGaussian, DiagGaussianHead
 
-from conftest import central_diff, make_categorical_ac, make_gaussian_ac, max_rel_err, one_row_distribution
+from conftest import central_diff, make_categorical_ac, make_gaussian_ac, max_rel_err
+from row_sampler import CategoricalRow, GaussianRow, one_row_distribution, sample_row
 
 
 def zeroed(ac: ActorCritic) -> ActorCritic:
@@ -22,21 +24,26 @@ def zeroed(ac: ActorCritic) -> ActorCritic:
 class TestDistribution:
     def test_zero_weight_actor_gives_standard_normal(self):
         ac = zeroed(make_gaussian_ac(action_dim=2))
-        dist = pol.distribution(ac, [[0.7, -0.3]])[0]
-        assert np.array_equal(dist.mean, [0.0, 0.0])
+        dist = pol.distribution(ac, [[0.7, -0.3]])
+        assert isinstance(dist, DiagGaussian)
+        assert np.array_equal(dist.mean, [[0.0, 0.0]])
         assert np.array_equal(dist.std, [1.0, 1.0])
 
     def test_zero_logits_give_uniform(self):
         ac = zeroed(make_categorical_ac(n_actions=4))
-        dist = pol.distribution(ac, [[1.0, 2.0]])[0]
+        dist = pol.distribution(ac, [[1.0, 2.0]])
+        assert isinstance(dist, Categorical)
+        assert dist.probs.shape == (1, 4)
         assert np.allclose(dist.probs, 0.25)
 
     def test_categorical_probs_normalized(self, rng):
         ac = make_categorical_ac(n_actions=5, seed=3)
         ac.params.data[:] = rng.normal(scale=2.0, size=len(ac.params))
-        for dist in pol.distribution(ac, rng.normal(size=(20, 2))):
-            assert abs(dist.probs.sum() - 1.0) <= 1e-12
-            assert np.all(dist.probs >= 0.0)
+        probs = pol.distribution(ac, rng.normal(size=(20, 2))).probs
+        assert probs.shape == (20, 5)
+        for row in probs:
+            assert abs(row.sum() - 1.0) <= 1e-12
+            assert np.all(row >= 0.0)
 
     def test_obs_length_checked(self):
         ac = make_gaussian_ac(obs_dim=3)
@@ -54,13 +61,19 @@ class TestDistribution:
         ac = make_ac(n_obs)
         ac.params.data[:] = rng.normal(size=len(ac.params))
         obs = rng.normal(scale=3.0, size=(n_obs, 3))
-        dists = pol.distribution(ac, obs)
-        assert len(dists) == n_obs
-        for dist, o in zip(dists, obs):
-            ref = one_row_distribution(ac, o)
-            assert type(dist) is type(ref)
-            for f in dataclasses.fields(ref):
-                assert np.array_equal(getattr(dist, f.name), getattr(ref, f.name)), f.name
+        dist = pol.distribution(ac, obs)
+        refs = [one_row_distribution(ac, o) for o in obs]
+        if isinstance(ac.head, DiagGaussianHead):
+            assert isinstance(dist, DiagGaussian)
+            assert dist.mean.shape == (n_obs, 2) and dist.std.shape == (2,)
+            for i, ref in enumerate(refs):
+                assert np.array_equal(dist.mean[i], ref.mean), i
+                assert np.array_equal(dist.std, ref.std), i
+        else:
+            assert isinstance(dist, Categorical)
+            assert dist.probs.shape == (n_obs, 4)
+            for i, ref in enumerate(refs):
+                assert np.array_equal(dist.probs[i], ref.probs), i
 
     def test_non_finite_actor_output_raises(self):
         ac = make_categorical_ac()
@@ -73,46 +86,126 @@ class TestDistribution:
         log_std = np.concatenate([special, rng.normal(scale=15.0, size=200)])
         ac = make_gaussian_ac(action_dim=len(log_std))
         ac.log_std[:] = log_std
-        std = pol.distribution(ac, [[0.3, -0.2]])[0].std
+        std = pol.distribution(ac, [[0.3, -0.2]]).std
         expected = np.exp(np.clip(log_std, pol.LOG_STD_MIN, pol.LOG_STD_MAX))
         assert [repr(x) for x in std.tolist()] == [repr(x) for x in expected.tolist()]
 
 
+class FixedDraw:
+    """A generator stand-in whose uniform draw is chosen, so that a draw can
+    land exactly on a step of the CDF or above its rounded top."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
 class TestSample:
-    def test_deterministic_returns_mode(self):
-        g = DiagGaussian(mean=np.array([0.4, -1.0]), std=np.array([2.0, 0.5]))
-        assert np.array_equal(pol.sample(g, np.random.default_rng(0), deterministic=True), g.mean)
-        c = Categorical(probs=np.array([0.2, 0.5, 0.3]))
-        assert pol.sample(c, np.random.default_rng(0), deterministic=True) == 1
+    def test_deterministic_returns_mode(self, rng):
+        g = zeroed(make_gaussian_ac(action_dim=2))
+        g.actor_layers[-1][1][:] = [0.4, -1.0]
+        assert np.array_equal(pol.act(g, np.ones((2, 2))), [[0.4, -1.0], [0.4, -1.0]])
+        c = zeroed(make_categorical_ac(n_actions=3))
+        c.actor_layers[-1][1][:] = np.log([0.2, 0.5, 0.3])
+        assert pol.act(c, np.ones((2, 2))).tolist() == [1, 1]
+        # on random weights: the means, and each probs row's argmax
+        g.params.data[:] = rng.normal(size=len(g.params))
+        c.params.data[:] = rng.normal(scale=3.0, size=len(c.params))
+        obs = rng.normal(size=(3, 2))
+        assert np.array_equal(pol.act(g, obs), pol.distribution(g, obs).mean)
+        assert pol.act(c, obs).tolist() == [int(np.argmax(row)) for row in pol.distribution(c, obs).probs]
 
     def test_floor_guarded_std_collapses_to_mean(self):
         ac = make_gaussian_ac()
         ac.params.data[ac.actor_spec.n_params] = -1e9  # log_std below the floor
-        dist = pol.distribution(ac, [[0.1, 0.1]])[0]
+        dist = pol.distribution(ac, [[0.1, 0.1]])
         assert dist.std[0] == math.exp(pol.LOG_STD_MIN)
-        action = pol.sample(dist, np.random.default_rng(5))
-        assert abs(action[0] - dist.mean[0]) < 1e-7
+        action = pol.sample(dist, [np.random.default_rng(5)])
+        assert abs(action[0, 0] - dist.mean[0, 0]) < 1e-7
 
     def test_replay_is_identical(self):
-        g = DiagGaussian(mean=np.array([0.0]), std=np.array([1.0]))
-        a1 = pol.sample(g, np.random.default_rng(77))
-        a2 = pol.sample(g, np.random.default_rng(77))
+        g = DiagGaussian(mean=np.array([[0.0]]), std=np.array([1.0]))
+        a1 = pol.sample(g, [np.random.default_rng(77)])
+        a2 = pol.sample(g, [np.random.default_rng(77)])
         assert np.array_equal(a1, a2)
-        c = Categorical(probs=np.array([0.1, 0.2, 0.7]))
-        assert pol.sample(c, np.random.default_rng(9)) == pol.sample(c, np.random.default_rng(9))
+        c = Categorical(probs=np.array([[0.1, 0.2, 0.7]]))
+        assert pol.sample(c, [np.random.default_rng(9)]) == pol.sample(c, [np.random.default_rng(9)])
 
     def test_inverse_cdf_hits_all_bins(self, rng):
-        c = Categorical(probs=np.array([0.5, 0.25, 0.25]))
-        draws = [pol.sample(c, rng) for _ in range(2000)]
+        c = Categorical(probs=np.tile([0.5, 0.25, 0.25], (2000, 1)))
+        draws = pol.sample(c, [rng] * 2000)
         counts = np.bincount(draws, minlength=3) / 2000
-        assert np.allclose(counts, c.probs, atol=0.05)
+        assert np.allclose(counts, c.probs[0], atol=0.05)
+
+    def test_draw_above_the_rounded_top_takes_the_last_action(self):
+        c = Categorical(probs=np.array([[0.7380289979116733, 0.21375794350507327, 0.04821305858325322]]))
+        assert np.cumsum(c.probs, axis=1)[0, -1] < 1.0 - 2.0**-53  # the CDF rounds to below the largest draw
+        assert pol.sample(c, [FixedDraw(1.0 - 2.0**-53)]).tolist() == [2]
 
 
-def closed_form_logp(dist: DiagGaussian | Categorical, action) -> float:
-    """Reference log pi(a|s) from the distribution's mean/std or probs."""
+# near-zero, tied and ordinary weights; each row is normalised to sum to 1
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 1e3, allow_subnormal=True),
+)
+
+
+@st.composite
+def batched_distributions(draw):
+    """A batched distribution of E in {1, 3, 15} rows and a maker of one
+    generator per row. A repeated seed makes rows share one generator, which
+    they draw in order; categorical rows may instead get chosen draws."""
+    n = draw(st.sampled_from([1, 3, 15]))
+    seeds = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+
+    def seeded():
+        generators = {seed: np.random.default_rng(seed) for seed in seeds}
+        return [generators[seed] for seed in seeds]
+
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        finite = st.floats(-1e6, 1e6, allow_subnormal=True)
+        mean = np.array(draw(st.lists(st.lists(finite, min_size=d, max_size=d), min_size=n, max_size=n)))
+        std = np.array(draw(st.lists(st.floats(0.0, 1e3, allow_subnormal=True), min_size=d, max_size=d)))
+        return DiagGaussian(mean=mean.reshape(n, d), std=std), seeded
+    k = draw(st.integers(2, 7))
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(WEIGHTS, min_size=k, max_size=k).filter(lambda w: sum(w) > 0.0))
+        if draw(st.booleans()):  # ties: one weight repeated across the row
+            row = [row[0]] * k if row[0] > 0.0 else row
+        rows.append(np.array(row) / sum(row))
+    probs = np.array(rows)
+    if draw(st.booleans()):
+        return Categorical(probs=probs), seeded
+    draws = [draw(st.one_of(st.sampled_from([*np.cumsum(row).tolist(), 0.0, 1.0 - 2.0**-53]),
+                            st.floats(0.0, 1.0, exclude_max=True))) for row in probs]
+    return Categorical(probs=probs), lambda: [FixedDraw(u) for u in draws]
+
+
+def row_of(dist, i):
     if isinstance(dist, DiagGaussian):
-        return float(stats.norm.logpdf(action, dist.mean, dist.std).sum())
-    return math.log(dist.probs[action])
+        return GaussianRow(mean=dist.mean[i], std=dist.std)
+    return CategoricalRow(probs=dist.probs[i])
+
+
+@settings(max_examples=500, deadline=None)
+@given(batched_distributions())
+def test_batched_sample_equals_per_row_draws(case):
+    dist, make_rngs = case
+    got = pol.sample(dist, make_rngs())
+    want = np.array([sample_row(row_of(dist, i), rng) for i, rng in enumerate(make_rngs())])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert [repr(x) for x in got.ravel().tolist()] == [repr(x) for x in want.ravel().tolist()]
+
+
+def closed_form_logp(dist: DiagGaussian | Categorical, i: int, action) -> float:
+    """Reference log pi(a|s) from row i's mean/std or probs."""
+    if isinstance(dist, DiagGaussian):
+        return float(stats.norm.logpdf(action, dist.mean[i], dist.std).sum())
+    return math.log(dist.probs[i, action])
 
 
 def gaussian_ac(mean: float, std: float) -> ActorCritic:
@@ -169,7 +262,7 @@ class TestEntropy:
 
     def test_gaussian_entropy_matches_monte_carlo(self):
         ac = gaussian_ac(0.5, 0.8)
-        g = pol.distribution(ac, [[0.0, 0.0]])[0]
+        g = pol.distribution(ac, [[0.0, 0.0]])
         rng = np.random.default_rng(42)
         samples = g.mean + g.std * rng.standard_normal((100_000, 1))
         logps = pol.logp_batch(ac, np.zeros((len(samples), 2)), samples)
@@ -208,7 +301,8 @@ class TestBatchPaths:
             else:
                 actions = rng.integers(0, ac.head.n_actions, size=6)
             batch = pol.logp_batch(ac, obs, actions)
-            singles = [closed_form_logp(pol.distribution(ac, [o])[0], a) for o, a in zip(obs, actions)]
+            dist = pol.distribution(ac, obs)
+            singles = [closed_form_logp(dist, i, a) for i, a in enumerate(actions)]
             assert np.allclose(batch, singles, atol=1e-12)
 
     def test_values_batch_matches_per_sample(self, rng):

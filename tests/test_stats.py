@@ -8,12 +8,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from poemrl import harness, policy as pol, stats
+from poemrl import harness, stats
 from poemrl.autodiff import NumericalError
 from poemrl.envs import ArrayStep, ContinuousSpace, StepResult, make_env
 from poemrl.stats import EvalReport, compare_runs, evaluate_policy, regularized_incomplete_beta, welch_t_test
 
-from conftest import make_categorical_ac, make_gaussian_ac, one_row_distribution
+from conftest import make_categorical_ac, make_gaussian_ac
+from row_sampler import one_row_distribution, sample_row
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -195,8 +196,8 @@ class TestEvaluatePolicy:
 
 
 def sequential_evaluate(make, ac, n_episodes, seed_base, deterministic) -> EvalReport:
-    """Episodes played one after another with one-row actor passes: the loop
-    that lockstep evaluation must reproduce bit for bit."""
+    """Episodes played one after another with one-row actor passes and
+    per-row draws: the loop that lockstep evaluation must reproduce bit for bit."""
     rewards, steps, seeds, series, infos = [], [], [], [], []
     for i in range(n_episodes):
         seed = seed_base + i
@@ -205,7 +206,7 @@ def sequential_evaluate(make, ac, n_episodes, seed_base, deterministic) -> EvalR
         rng = np.random.default_rng(seed)
         total, cumulative = 0.0, []
         while True:
-            result = env.step(pol.sample(one_row_distribution(ac, obs), rng, deterministic=deterministic))
+            result = env.step(sample_row(one_row_distribution(ac, obs), rng, deterministic))
             total += result.reward
             cumulative.append(total)
             obs = result.obs
