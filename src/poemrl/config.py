@@ -1,13 +1,14 @@
 """Run configuration: declared settings, config-file parsing, and layering.
 
-Each setting is declared once: the [ppo] and [poem] keys, types and defaults
-are the fields of PpoConfig and PoemConfig, in config.ini order; the [run]
-keys and text defaults are RUN_DEFAULTS, typed by the RunConfig field of the
-same name (``env`` sets ``env_id``). Config files are flat UTF-8 ``key =
-value`` lines under [run], [ppo] and [poem]; ``#`` starts a comment. Values
-layer as defaults < config file < POEMRL_* environment variables < CLI flags,
-and unknown sections, unknown or repeated keys and malformed values are hard
-errors so a typo cannot silently skew a comparison.
+Each setting is declared once: the [run], [ppo] and [poem] keys, types and
+defaults are the fields of RunConfig, PpoConfig and PoemConfig, in
+config.ini order (``env`` sets ``env_id``), and GLOBAL_DEFAULTS is their
+text. Per-env defaults (ENV_DEFAULTS) apply only through load_run_config.
+Config files are flat UTF-8 ``key = value`` lines under [run], [ppo] and
+[poem]; ``#`` starts a comment. Values layer as defaults < config file <
+POEMRL_* environment variables < CLI flags, and unknown sections, unknown or
+repeated keys and malformed values are hard errors so a typo cannot
+silently skew a comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .envs import ENV_REGISTRY
 from .poem import TRIGGER_OFF, PoemConfig
@@ -23,19 +24,6 @@ from .ppo import PpoConfig
 
 ENV_VAR_PREFIX = "POEMRL_"
 ALGOS = ("ppo", "poem")
-
-# [run] text defaults; the [ppo] and [poem] ones are on their dataclasses
-RUN_DEFAULTS = {
-    "env": "mountain_car_continuous",
-    "algo": "poem",
-    "seed": "0",
-    "total_timesteps": "150000",
-    "n_steps": "512",
-    "hidden_sizes": "64,64",
-    "log_std_init": "-2.0",
-    "checkpoint_every": "10",
-    "out_dir": "runs/run",
-}
 
 # per-env defaults: training budgets, and a gentler mutation scale on the
 # lander (its reward plateau gives parameter noise nothing to find, so large
@@ -56,17 +44,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    env_id: str
-    algo: str
-    seed: int
-    total_timesteps: int
-    n_steps: int
-    hidden_sizes: tuple[int, ...]
-    log_std_init: float
-    checkpoint_every: int
-    out_dir: str
-    ppo: PpoConfig
-    poem: PoemConfig
+    # field order is the [run] order of config.ini
+    env_id: str = "mountain_car_continuous"
+    algo: str = "poem"
+    seed: int = 0
+    total_timesteps: int = 150_000
+    n_steps: int = 512
+    hidden_sizes: tuple[int, ...] = (64, 64)
+    log_std_init: float = -2.0
+    checkpoint_every: int = 10
+    out_dir: str = "runs/run"
+    ppo: PpoConfig = field(default_factory=PpoConfig)
+    poem: PoemConfig = field(default_factory=PoemConfig)
 
     def __post_init__(self):
         if self.env_id not in ENV_REGISTRY:
@@ -84,10 +73,6 @@ class RunConfig:
         if self.algo == "ppo":
             # plain PPO never uses the diversity term or the mutation trigger
             object.__setattr__(self, "poem", replace(self.poem, lambda_div=0.0, delta=TRIGGER_OFF))
-
-
-def _field(key: str) -> str:
-    return "env_id" if key == "env" else key  # the one key not named as its field
 
 
 def parse_int(raw: str, where: str) -> int:
@@ -136,15 +121,20 @@ def _format(value) -> str:
 
 _SECTIONS = {"run": RunConfig, "ppo": PpoConfig, "poem": PoemConfig}
 
+# every setting, in config.ini order: (section, key) -> the field it sets;
+# ``env`` is the one key not named as its field
+_FIELDS = {
+    (section, "env" if f.name == "env_id" else f.name): f
+    for section, cls in _SECTIONS.items() for f in fields(cls) if f.default is not MISSING
+}
+
 GLOBAL_DEFAULTS: dict[str, dict[str, str]] = {
-    "run": RUN_DEFAULTS,
-    **{name: {f.name: _format(f.default) for f in fields(_SECTIONS[name])} for name in ("ppo", "poem")},
+    section: {key: _format(f.default) for (s, key), f in _FIELDS.items() if s == section} for section in _SECTIONS
 }
 
 _PARSER_OF = {
-    (section, key): _PARSERS[typing.get_type_hints(_SECTIONS[section])[_field(key)]]
-    for section, keys in GLOBAL_DEFAULTS.items()
-    for key in keys
+    (section, key): _PARSERS[typing.get_type_hints(_SECTIONS[section])[f.name]]
+    for (section, key), f in _FIELDS.items()
 }
 
 
@@ -192,7 +182,7 @@ def build_run_config(values: dict[tuple[str, str], str]) -> RunConfig:
     """Typed RunConfig from a fully-layered string map."""
     kwargs: dict[str, dict] = {section: {} for section in _SECTIONS}
     for (section, key), parse in _PARSER_OF.items():
-        kwargs[section][_field(key)] = parse(values[(section, key)], f"{section}.{key}")
+        kwargs[section][_FIELDS[(section, key)].name] = parse(values[(section, key)], f"{section}.{key}")
     try:
         return RunConfig(**kwargs["run"], ppo=PpoConfig(**kwargs["ppo"]),
                          poem=PoemConfig(**kwargs["poem"]))
@@ -234,7 +224,7 @@ def config_to_text(config: RunConfig) -> str:
     lines = []
     for section, keys in GLOBAL_DEFAULTS.items():
         settings = config if section == "run" else getattr(config, section)
-        lines += [f"[{section}]", *(f"{key} = {_format(getattr(settings, _field(key)))}"
+        lines += [f"[{section}]", *(f"{key} = {_format(getattr(settings, _FIELDS[(section, key)].name))}"
                                     for key in keys), ""]
     return "\n".join(lines)
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import nn, poem, ppo, rollout, stats
 from .autodiff import NumericalError
-from .config import RunConfig, TuneSpec, config_to_text
+from .config import ALGOS, RunConfig, TuneSpec, config_to_text
 from .envs import ContinuousSpace, make_env
-from .policy import ActorCritic, CategoricalHead, DiagGaussianHead
+from .policy import ActorCritic, CategoricalHead, DiagGaussianHead, param_layout
 from .stats import EvalReport
 
 CHECKPOINT_MAGIC = b"PRLCKPT1"
@@ -66,14 +66,14 @@ def derive_streams(seed: int) -> RunStreams:
     )
 
 
+def _head_for(space) -> DiagGaussianHead | CategoricalHead:
+    """The policy head that acts in an env's action space."""
+    return DiagGaussianHead(space.dim) if isinstance(space, ContinuousSpace) else CategoricalHead(space.n)
+
+
 def build_actor_critic(env, hidden_sizes: tuple[int, ...], param_seed: int,
                        log_std_init: float = 0.0) -> ActorCritic:
-    space = env.action_space
-    if isinstance(space, ContinuousSpace):
-        head = DiagGaussianHead(space.dim)
-    else:
-        head = CategoricalHead(space.n)
-    return ActorCritic.create(env.observation_dim, head, hidden_sizes, seed=param_seed,
+    return ActorCritic.create(env.observation_dim, _head_for(env.action_space), hidden_sizes, seed=param_seed,
                               obs_scale=getattr(env, "observation_scale", None),
                               log_std_init=log_std_init)
 
@@ -83,12 +83,8 @@ def validate_compatible(ac: ActorCritic, env) -> None:
         raise ValueError(
             f"checkpoint expects {ac.obs_dim()}-dim observations, env has {env.observation_dim}"
         )
-    space = env.action_space
-    if isinstance(space, ContinuousSpace):
-        if not isinstance(ac.head, DiagGaussianHead) or ac.head.action_dim != space.dim:
-            raise ValueError("checkpoint head does not match the continuous action space")
-    elif not isinstance(ac.head, CategoricalHead) or ac.head.n_actions != space.n:
-        raise ValueError("checkpoint head does not match the discrete action space")
+    if ac.head != _head_for(env.action_space):
+        raise ValueError(f"checkpoint head {ac.head} does not match the env's action space {env.action_space}")
 
 
 # ---- output files ----------------------------------------------------------
@@ -112,14 +108,13 @@ def _atomic_open(path: Path, mode: str, **kwargs):
 
 
 def save_checkpoint(path: str | Path, ac: ActorCritic, env_id: str, algo: str) -> None:
-    head = ac.head
     header = {
         "env_id": env_id,
         "algo": algo,
         "obs_dim": ac.obs_dim(),
         "hidden_sizes": list(ac.actor_spec.layer_sizes[1:-1]),
-        "head_kind": "diag_gaussian" if isinstance(head, DiagGaussianHead) else "categorical",
-        "head_dim": head.action_dim if isinstance(head, DiagGaussianHead) else head.n_actions,
+        "head_kind": "diag_gaussian" if isinstance(ac.head, DiagGaussianHead) else "categorical",
+        "head_dim": ac.actor_spec.layer_sizes[-1],
         "obs_scale": [float(s) for s in ac.obs_scale],
     }
     blob = json.dumps(header).encode("utf-8")
@@ -149,24 +144,27 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCritic, dict]:
     missing = [k for k in CHECKPOINT_KEYS if k not in header] if isinstance(header, dict) else CHECKPOINT_KEYS
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    if not isinstance(header["env_id"], str):
+        raise ValueError(f"{path}: bad checkpoint: env_id must be a string, got {header['env_id']!r}")
+    if header["algo"] not in ALGOS:
+        raise ValueError(f"{path}: unknown algo {header['algo']!r}, expected one of {ALGOS}")
     if header["head_kind"] not in HEAD_KINDS:
         raise ValueError(f"{path}: unknown head_kind {header['head_kind']!r}, expected one of {HEAD_KINDS}")
     obs_dim, head_dim, hidden = header["obs_dim"], header["head_dim"], header["hidden_sizes"]
     if not isinstance(hidden, list) or not all(type(n) is int for n in (obs_dim, head_dim, *hidden)):
         raise ValueError(f"{path}: bad checkpoint: obs_dim, head_dim and hidden_sizes must be integers")
-    gaussian = header["head_kind"] == "diag_gaussian"
+    head = DiagGaussianHead(head_dim) if header["head_kind"] == "diag_gaussian" else CategoricalHead(head_dim)
     try:
-        # sized from the header before anything is allocated: a huge size must not reach init_params
-        n_params = (nn.MlpSpec((obs_dim, *hidden, head_dim)).n_params + (head_dim if gaussian else 0)
-                    + nn.MlpSpec((obs_dim, *hidden, 1)).n_params)
+        # sized from the header before anything is allocated: a huge size must not reach numpy
+        actor_spec, critic_spec, layout = param_layout(obs_dim, head, hidden)
+        n_params = sum(e.size for e in layout)
         if len(raw) - off != 4 + 8 * n_params:
             raise ValueError(f"its sizes need {n_params} parameters, it holds {max(len(raw) - off - 4, 0) // 8}")
-        head = DiagGaussianHead(head_dim) if gaussian else CategoricalHead(head_dim)
-        ac = ActorCritic.create(obs_dim, head, tuple(hidden), seed=0, obs_scale=header.get("obs_scale"))
-        params = nn.params_from_bytes(raw[off:], ac.params.layout)
+        ac = ActorCritic(actor_spec, critic_spec, head, nn.params_from_bytes(raw[off:], layout),
+                         header.get("obs_scale"))
     except (TypeError, ValueError) as err:  # an obs_scale or a size that does not fit
         raise ValueError(f"{path}: bad checkpoint: {err}") from None
-    return ac.with_params(params.data), header
+    return ac, header
 
 
 # ---- training --------------------------------------------------------------
@@ -380,19 +378,7 @@ def compare(
     for env in sorted(base):
         if len(base[env]) < 2 or len(variant[env]) < 2:
             raise ValueError(f"need at least 2 runs per side for env {env}")
-        row = stats.compare_runs(variant[env], base[env], alpha)
-        rows.append({
-            "env": env,
-            "t": row.t_statistic,
-            "p": row.p_value,
-            "significant": row.significant,
-            "mean_poem": row.mean_poem,
-            "mean_ppo": row.mean_ppo,
-            "dof": row.dof,
-            "n_poem": row.n_poem,
-            "n_ppo": row.n_ppo,
-            "alpha": alpha,
-        })
+        rows.append({"env": env, **stats.compare_runs(variant[env], base[env], alpha), "alpha": alpha})
     if out_path is not None:
         with _atomic_open(Path(out_path), "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -70,8 +70,7 @@ class ActorCritic:
         if self.obs_scale.shape != (obs_dim,) or not np.all(np.isfinite(self.obs_scale)):
             raise ValueError(f"obs_scale must be {obs_dim} finite numbers, got {self.obs_scale.tolist()}")
         n_actor = self.actor_spec.n_params
-        n_log_std = self.head.action_dim if isinstance(self.head, DiagGaussianHead) else 0
-        self.n_policy = n_actor + n_log_std
+        self.n_policy = len(self.params) - self.critic_spec.n_params  # the critic's block comes last
         data = self.params.data
         self.actor_layers = nn.layer_views(self.actor_spec, data)
         self.log_std = data[n_actor : self.n_policy]
@@ -87,24 +86,14 @@ class ActorCritic:
         obs_scale=None,
         log_std_init: float = 0.0,
     ) -> "ActorCritic":
-        out_dim = head.action_dim if isinstance(head, DiagGaussianHead) else head.n_actions
-        actor_spec = MlpSpec((obs_dim, *hidden_sizes, out_dim))
-        critic_spec = MlpSpec((obs_dim, *hidden_sizes, 1))
+        actor_spec, critic_spec, layout = param_layout(obs_dim, head, hidden_sizes)
         actor_seed, critic_seed = np.random.SeedSequence(seed).generate_state(2)
         # small final layer keeps fresh action distributions near-uniform
         actor = nn.init_params(actor_spec, int(actor_seed), final_layer_scale=0.01)
         critic = nn.init_params(critic_spec, int(critic_seed))
-
-        n_log_std = head.action_dim if isinstance(head, DiagGaussianHead) else 0
-        layout = list(nn.mlp_layout(actor_spec, "actor."))
-        offset = actor_spec.n_params
-        if n_log_std:
-            layout.append(LayoutEntry("log_std", (n_log_std,), offset, n_log_std))
-            offset += n_log_std
-        layout.extend(nn.mlp_layout(critic_spec, "critic.", offset))
-
+        n_log_std = sum(e.size for e in layout) - actor_spec.n_params - critic_spec.n_params
         data = np.concatenate([actor.data, np.full(n_log_std, float(log_std_init)), critic.data])
-        return cls(actor_spec, critic_spec, head, ParamVector(data, tuple(layout)), obs_scale)
+        return cls(actor_spec, critic_spec, head, ParamVector(data, layout), obs_scale)
 
     @property
     def policy_slice(self) -> slice:
@@ -118,6 +107,24 @@ class ActorCritic:
 
     def obs_dim(self) -> int:
         return self.actor_spec.layer_sizes[0]
+
+
+def param_layout(
+    obs_dim: int, head: DiagGaussianHead | CategoricalHead, hidden_sizes: tuple[int, ...]
+) -> tuple[MlpSpec, MlpSpec, tuple[LayoutEntry, ...]]:
+    """The actor and critic specs and the actor | log_std | critic layout of
+    their one parameter vector. Sizes only: nothing is allocated, so a
+    caller can check a parameter count before building a network."""
+    gaussian = isinstance(head, DiagGaussianHead)
+    out_dim = head.action_dim if gaussian else head.n_actions
+    actor_spec = MlpSpec((obs_dim, *hidden_sizes, out_dim))
+    critic_spec = MlpSpec((obs_dim, *hidden_sizes, 1))
+    layout = nn.mlp_layout(actor_spec, "actor.")
+    offset = actor_spec.n_params
+    if gaussian:
+        layout += (LayoutEntry("log_std", (out_dim,), offset, out_dim),)
+        offset += out_dim
+    return actor_spec, critic_spec, layout + nn.mlp_layout(critic_spec, "critic.", offset)
 
 
 def _features(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:

@@ -120,36 +120,22 @@ def welch_t_test(a, b) -> TTestResult:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One head-to-head comparison; t is negative when the mutation variant's
-    mean is higher (the baseline is sample a)."""
-
-    mean_poem: float
-    mean_ppo: float
-    t_statistic: float
-    p_value: float
-    dof: float
-    significant: bool
-    n_poem: int
-    n_ppo: int
-
-
-def compare_runs(rewards_poem, rewards_ppo, alpha: float) -> ComparisonRow:
-    """Welch test of baseline vs mutation variant; significant only when the
-    variant's mean is actually higher and p < alpha."""
+def compare_runs(rewards_poem, rewards_ppo, alpha: float) -> dict:
+    """Welch test of baseline vs mutation variant, as one comparison-table
+    row; t is negative when the variant's mean is higher (the baseline is
+    sample a), and the row is significant only when p < alpha and the
+    variant's mean is actually higher."""
     res = welch_t_test(rewards_ppo, rewards_poem)
-    significant = bool(res.p_value < alpha and res.mean_b > res.mean_a)
-    return ComparisonRow(
-        mean_poem=res.mean_b,
-        mean_ppo=res.mean_a,
-        t_statistic=res.t_statistic,
-        p_value=res.p_value,
-        dof=res.dof,
-        significant=significant,
-        n_poem=res.n_b,
-        n_ppo=res.n_a,
-    )
+    return {
+        "t": res.t_statistic,
+        "p": res.p_value,
+        "significant": bool(res.p_value < alpha and res.mean_b > res.mean_a),
+        "mean_poem": res.mean_b,
+        "mean_ppo": res.mean_a,
+        "dof": res.dof,
+        "n_poem": res.n_b,
+        "n_ppo": res.n_a,
+    }
 
 
 @dataclass

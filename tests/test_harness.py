@@ -15,6 +15,7 @@ from poemrl import cli, harness, stats
 from poemrl.config import load_run_config
 from poemrl.envs import make_env
 from poemrl.harness import compare, derive_streams, evaluate, load_checkpoint, save_checkpoint, train
+from poemrl.policy import ActorCritic, CategoricalHead, DiagGaussianHead
 
 
 def tiny_config(tmp_path, algo="poem", seed=1, env="mountain_car_continuous", extra=None):
@@ -56,6 +57,24 @@ class TestCheckpoints:
         assert header["env_id"] == "sparse_lander"
         assert header["algo"] == "poem"
         assert loaded.head == ac.head
+
+    @pytest.mark.parametrize("env_id", ["mountain_car_continuous", "sparse_lander"])
+    def test_loading_builds_one_network_from_the_file(self, tmp_path, rng, monkeypatch, env_id):
+        ac = harness.build_actor_critic(make_env(env_id), (8, 4), param_seed=3)
+        ac.params.data[:] = rng.normal(size=len(ac.params))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, ac, env_id, "ppo")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a random network was built")
+
+        monkeypatch.setattr(harness.nn, "init_params", unreachable)
+        monkeypatch.setattr(harness.ActorCritic, "create", unreachable)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.params.data.tobytes() == ac.params.data.tobytes()
+        assert loaded.params.layout == ac.params.layout
+        assert (loaded.actor_spec, loaded.critic_spec, loaded.head) == (ac.actor_spec, ac.critic_spec, ac.head)
+        assert np.array_equal(loaded.log_std, ac.log_std) and loaded.n_policy == ac.n_policy
 
     def test_corrupt_file_rejected_and_no_partial_csv(self, tmp_path):
         bad = tmp_path / "bad.bin"
@@ -136,6 +155,7 @@ class TestCheckpointHeader:
     @pytest.mark.parametrize("key,value", [
         ("head_dim", None), ("obs_dim", "two"), ("hidden_sizes", 4),
         ("head_dim", True), ("obs_dim", 2.0), ("hidden_sizes", [4.0]), ("hidden_sizes", [False]),
+        ("env_id", ["x"]), ("env_id", 3), ("algo", [1]), ("algo", "sac"),
     ])
     def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, key, value):
         path = self._checkpoint(tmp_path)
@@ -270,16 +290,15 @@ class TestEvaluate:
         assert list((tmp_path / "fresh").iterdir()) == []
 
     @pytest.mark.parametrize("algo", ["poem", "a,b", 'we"ird'])
-    def test_steps_csv_bytes_match_csv_writer(self, tmp_path, monkeypatch, algo):
-        # a checkpoint header can carry any algo string; the bulk writer must
-        # quote it as csv.writer does and write each cumulative reward's repr
+    def test_steps_csv_bytes_match_csv_writer(self, tmp_path, algo):
+        # the bulk writer must quote any algo string as csv.writer does and
+        # write each cumulative reward's repr; it is called directly, since a
+        # checkpoint's algo must be one of ALGOS
         env_id = "mountain_car_continuous"
         ac = harness.build_actor_critic(make_env(env_id), (4,), 0)
-        save_checkpoint(tmp_path / "ckpt.bin", ac, env_id, algo)
         real = stats.evaluate_policy(env_id, ac, 2, seed_base=3)
         series = [np.array([math.nan, math.inf, -math.inf, -0.0, 1e-05, 0.1 + 0.2]), real.step_series[1]]
-        monkeypatch.setattr(harness.stats, "evaluate_policy", lambda *args: replace(real, step_series=series))
-        evaluate(tmp_path / "ckpt.bin", n_episodes=2, seed_base=3)
+        harness._write_steps_csv(tmp_path / "steps.csv", algo, env_id, series)
 
         want = io.StringIO(newline="")
         writer = csv.writer(want)
@@ -289,10 +308,29 @@ class TestEvaluate:
                 writer.writerow([algo, env_id, i, step, repr(float(cum))])
         assert (tmp_path / "steps.csv").read_bytes() == want.getvalue().encode("utf-8")
 
-    def test_env_mismatch_rejected(self, tmp_path):
+    def test_env_mismatch_rejected(self, tmp_path, capsys):
         result = train(tiny_config(tmp_path, algo="ppo", seed=2))
         with pytest.raises(ValueError):
             evaluate(result.checkpoint_path, env_id="sparse_lander")
+
+        mcc, lander = "mountain_car_continuous", tmp_path / "lander.bin"
+        save_checkpoint(lander, harness.build_actor_critic(make_env("sparse_lander"), (4,), 0), "sparse_lander", "ppo")
+        wide, discrete = tmp_path / "wide.bin", tmp_path / "discrete.bin"  # both with mountain car's observations
+        save_checkpoint(wide, ActorCritic.create(2, DiagGaussianHead(2), (4,)), mcc, "ppo")
+        save_checkpoint(discrete, ActorCritic.create(2, CategoricalHead(1), (4,)), mcc, "ppo")
+        cases = [  # checkpoint, --env, what the error line names
+            (lander, mcc, ["5-dim observations", "has 2"]),
+            (result.checkpoint_path, "sparse_lander", ["2-dim observations", "has 5"]),
+            (wide, mcc, ["DiagGaussianHead(action_dim=2)", "ContinuousSpace(dim=1,"]),
+            (discrete, mcc, ["CategoricalHead(n_actions=1)", "ContinuousSpace(dim=1,"]),
+        ]
+        for path, env_id, names in cases:
+            rc = cli.main(["evaluate", str(path), "--env", env_id, "--episodes", "1", "--out", str(tmp_path / "e")])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert all(name in err for name in names), err
+        assert not (tmp_path / "e").exists()
 
 
 def synthetic_run_set(root, algo, env, run_means, episodes=4):
@@ -355,11 +393,13 @@ class TestCompare:
         root = tmp_path / "set"
         synthetic_run_set(root, "ppo", "mountain_car_continuous", [1.0, 2.0, 3.0])
         out = tmp_path / "table.csv"
-        compare(root, root, alpha=0.05, out_path=out)
+        table = compare(root, root, alpha=0.05, out_path=out)
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["env"] == "mountain_car_continuous"
-        assert {"t", "p", "significant", "mean_poem", "mean_ppo"} <= set(rows[0].keys())
+        columns = ["env", "t", "p", "significant", "mean_poem", "mean_ppo", "dof", "n_poem", "n_ppo", "alpha"]
+        assert [list(row) for row in table] == [columns]
+        assert out.read_bytes().startswith(",".join(columns).encode() + b"\r\n")
 
 
 class TestTune:

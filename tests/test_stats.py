@@ -106,23 +106,23 @@ class TestCompareRuns:
         poem_r = [95.0, 96.0, 94.0]
         ppo_r = [1.0, 2.0, 0.5]
         row = compare_runs(poem_r, ppo_r, alpha=0.05)
-        assert row.t_statistic < 0
-        assert row.significant
-        assert row.mean_poem > row.mean_ppo
+        assert row["t"] < 0
+        assert row["significant"]
+        assert row["mean_poem"] > row["mean_ppo"]
 
     def test_identical_samples_not_significant(self):
         row = compare_runs([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], alpha=0.05)
-        assert row.p_value == 1.0
-        assert not row.significant
+        assert row["p"] == 1.0
+        assert not row["significant"]
 
     def test_alpha_zero_never_flags(self):
         row = compare_runs([95.0, 96.0], [1.0, 2.0], alpha=0.0)
-        assert not row.significant
+        assert not row["significant"]
 
     def test_higher_ppo_mean_never_flags(self):
         row = compare_runs([1.0, 2.0, 0.5], [95.0, 96.0, 94.0], alpha=0.05)
-        assert row.t_statistic > 0
-        assert not row.significant
+        assert row["t"] > 0
+        assert not row["significant"]
 
 
 class StubEnv:
