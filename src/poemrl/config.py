@@ -122,7 +122,8 @@ def _format(value) -> str:
 _SECTIONS = {"run": RunConfig, "ppo": PpoConfig, "poem": PoemConfig}
 
 # every setting, in config.ini order: (section, key) -> the field it sets;
-# ``env`` is the one key not named as its field
+# ``env`` is the one key not named as its field, and RunConfig's ppo and
+# poem fields, which have a default_factory, are sections, not settings
 _FIELDS = {
     (section, "env" if f.name == "env_id" else f.name): f
     for section, cls in _SECTIONS.items() for f in fields(cls) if f.default is not MISSING

@@ -38,6 +38,9 @@ class TestDefaults:
         assert cfg.hidden_sizes == (64, 64)
         assert cfg.log_std_init == -2.0
 
+    def test_dataclass_defaults_are_the_loaded_defaults(self):
+        assert RunConfig() == load_run_config(environ={})
+
     def test_env_specific_budget(self):
         mcc = load_run_config(environ={})
         assert mcc.total_timesteps == 150_000
