@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import harness
@@ -37,6 +38,10 @@ def _number(args: argparse.Namespace, name: str, parse):
     return None if raw is None else parse(raw, "--" + name.replace("_", "-"))
 
 
+def _default(fn, name: str) -> str:  # a flag's default as the library function's, so it has one owner
+    return repr(inspect.signature(fn).parameters[name].default)
+
+
 def _parse_seed(raw: str, where: str) -> int:
     seed = parse_int(raw, where)
     if seed < 0:  # checked here, so the error names the flag rather than numpy's seeding
@@ -54,15 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint over fixed-seed episodes")
     p_eval.add_argument("checkpoint", help="checkpoint file")
     p_eval.add_argument("--env", metavar="ID", help="env id (defaults to the checkpoint's)")
-    p_eval.add_argument("--episodes", default="15", metavar="N")
-    p_eval.add_argument("--seed", default="10000", metavar="N", help="evaluation seed base")
+    p_eval.add_argument("--episodes", default=_default(harness.evaluate, "n_episodes"), metavar="N")
+    p_eval.add_argument("--seed", default=_default(harness.evaluate, "seed_base"), metavar="N",
+                        help="evaluation seed base")
     p_eval.add_argument("--out", metavar="DIR", help="where to write episodes.csv / steps.csv")
     p_eval.add_argument("--stochastic", action="store_true", help="sample instead of playing the mode")
 
     p_cmp = sub.add_parser("compare", help="Welch-test two run-set directories (baseline first)")
     p_cmp.add_argument("baseline_dir", help="directory of baseline (ppo) runs")
     p_cmp.add_argument("variant_dir", help="directory of variant (poem) runs")
-    p_cmp.add_argument("--alpha", default="0.05", metavar="F")
+    p_cmp.add_argument("--alpha", default=_default(harness.compare, "alpha"), metavar="F")
     p_cmp.add_argument("--out", metavar="FILE", help="also write the table as CSV")
 
     p_tune = sub.add_parser("tune", help="bounded random search around the config's values")

@@ -68,9 +68,6 @@ class MountainCarContinuous:
     observation_dim = 2
     action_space: ActionSpace = ContinuousSpace(1, -1.0, 1.0)
     max_episode_steps = 999
-    # feature scaling for function approximators: velocity spans +-0.07,
-    # position is already near unit range
-    observation_scale = (1.0, 1.0 / 0.07)
 
     MIN_POSITION = -1.2
     MAX_POSITION = 0.6
@@ -78,6 +75,8 @@ class MountainCarContinuous:
     GOAL_POSITION = 0.45
     POWER = 0.0015
     GRAVITY_SCALE = 0.0025
+    # feature scaling for function approximators; position is already near unit range
+    observation_scale = (1.0, 1.0 / MAX_SPEED)
 
     def __init__(self):
         self._rng = None
@@ -171,11 +170,12 @@ class SparseLander:
     PAD_HALF_WIDTH = 0.5
     SAFE_SPEED = 1.0
     START_ALTITUDE = 10.0
-    # per action, for step_arrays: what step spends, adds and charges
-    _FUEL_COST = np.array([0.0, MAIN_FUEL, SIDE_FUEL, SIDE_FUEL])
-    _ACCEL_X = np.array([0.0, 0.0, -SIDE_ACCEL, SIDE_ACCEL])
-    _ACCEL_Y = np.array([-GRAVITY, -GRAVITY + MAIN_ACCEL, -GRAVITY, -GRAVITY])
-    _MAIN_COST = np.array([0.0, 0.03, 0.0, 0.0])
+    # per action (noop, main, left, right): fuel burnt, acceleration with gravity, main-engine charge
+    FUEL_COST = (0.0, MAIN_FUEL, SIDE_FUEL, SIDE_FUEL)
+    ACCEL_X = (0.0, 0.0, -SIDE_ACCEL, SIDE_ACCEL)
+    ACCEL_Y = (-GRAVITY, -GRAVITY + MAIN_ACCEL, -GRAVITY, -GRAVITY)
+    MAIN_COST = (0.0, 0.03, 0.0, 0.0)
+    _ENGINES = np.array([FUEL_COST, ACCEL_X, ACCEL_Y, MAIN_COST])  # the table as rows, for step_arrays
 
     def __init__(self):
         self._rng = None
@@ -215,31 +215,18 @@ class SparseLander:
             raise ValueError(f"invalid action {a}")
         if self._fuel <= 0.0:
             a = 0  # engines dead
-
-        ax, ay = 0.0, -self.GRAVITY
-        main_fired = False
-        if a == 1:
-            ay += self.MAIN_ACCEL
-            main_fired = True
-            self._fuel = max(0.0, self._fuel - self.MAIN_FUEL)
-        elif a == 2:
-            ax = -self.SIDE_ACCEL
-            self._fuel = max(0.0, self._fuel - self.SIDE_FUEL)
-        elif a == 3:
-            ax = self.SIDE_ACCEL
-            self._fuel = max(0.0, self._fuel - self.SIDE_FUEL)
+        elif a:
+            self._fuel = max(0.0, self._fuel - self.FUEL_COST[a])
 
         # semi-implicit Euler: velocity first, then position
-        self._vx += ax * self.DT
-        self._vy += ay * self.DT
+        self._vx += self.ACCEL_X[a] * self.DT
+        self._vy += self.ACCEL_Y[a] * self.DT
         self._x += self._vx * self.DT
         self._y += self._vy * self.DT
         self._steps += 1
 
         terminated = False
-        reward = -0.3 * (abs(self._x) + abs(self._vx) + abs(self._vy)) * self.DT
-        if main_fired:
-            reward -= 0.03
+        reward = -0.3 * (abs(self._x) + abs(self._vx) + abs(self._vy)) * self.DT - self.MAIN_COST[a]
         if self._y <= 0.0:
             terminated = True
             safe = (
@@ -269,17 +256,18 @@ class SparseLander:
             raise ValueError(f"invalid action {actions[invalid][0]}")
         a = np.where(fuel <= 0.0, 0, actions)  # engines dead on an empty tank
 
-        # x - 0.0 is x, -0.0 and NaN included, so the noop's zero rows change nothing
-        burnt = fuel - cls._FUEL_COST[a]
+        fuel_cost, accel_x, accel_y, main_cost = cls._ENGINES[:, a]
+        # x - 0.0 is x, -0.0 and NaN included, so a zero cost or charge changes nothing
+        burnt = fuel - fuel_cost
         fuel = np.where((burnt > 0.0) | (a == 0), burnt, 0.0)  # max(0.0, burnt) where an engine fired
-        vx = vx + cls._ACCEL_X[a] * cls.DT
-        vy = vy + cls._ACCEL_Y[a] * cls.DT
+        vx = vx + accel_x * cls.DT
+        vy = vy + accel_y * cls.DT
         x = x + vx * cls.DT
         y = y + vy * cls.DT
         steps = steps + 1
 
         abs_x, abs_vx, abs_vy = np.abs(x), np.abs(vx), np.abs(vy)
-        reward = -0.3 * (abs_x + abs_vx + abs_vy) * cls.DT - cls._MAIN_COST[a]
+        reward = -0.3 * (abs_x + abs_vx + abs_vy) * cls.DT - main_cost
         landed = y <= 0.0
         terminated = landed | (abs_x > cls.X_LIMIT)
         if np.count_nonzero(terminated):

@@ -10,7 +10,6 @@ processes.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
@@ -30,7 +29,7 @@ from .stats import EvalReport
 
 CHECKPOINT_MAGIC = b"PRLCKPT1"
 CHECKPOINT_KEYS = ("env_id", "algo", "obs_dim", "hidden_sizes", "head_kind", "head_dim")
-HEAD_KINDS = ("diag_gaussian", "categorical")
+HEAD_KINDS = {"diag_gaussian": DiagGaussianHead, "categorical": CategoricalHead}
 
 METRICS_COLUMNS = [
     "update", "global_step", "minibatch_idx",
@@ -113,7 +112,7 @@ def save_checkpoint(path: str | Path, ac: ActorCritic, env_id: str, algo: str) -
         "algo": algo,
         "obs_dim": ac.obs_dim(),
         "hidden_sizes": list(ac.actor_spec.layer_sizes[1:-1]),
-        "head_kind": "diag_gaussian" if isinstance(ac.head, DiagGaussianHead) else "categorical",
+        "head_kind": next(kind for kind, head in HEAD_KINDS.items() if isinstance(ac.head, head)),
         "head_dim": ac.actor_spec.layer_sizes[-1],
         "obs_scale": [float(s) for s in ac.obs_scale],
     }
@@ -149,11 +148,11 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCritic, dict]:
     if header["algo"] not in ALGOS:
         raise ValueError(f"{path}: unknown algo {header['algo']!r}, expected one of {ALGOS}")
     if header["head_kind"] not in HEAD_KINDS:
-        raise ValueError(f"{path}: unknown head_kind {header['head_kind']!r}, expected one of {HEAD_KINDS}")
+        raise ValueError(f"{path}: unknown head_kind {header['head_kind']!r}, expected one of {tuple(HEAD_KINDS)}")
     obs_dim, head_dim, hidden = header["obs_dim"], header["head_dim"], header["hidden_sizes"]
     if not isinstance(hidden, list) or not all(type(n) is int for n in (obs_dim, head_dim, *hidden)):
         raise ValueError(f"{path}: bad checkpoint: obs_dim, head_dim and hidden_sizes must be integers")
-    head = DiagGaussianHead(head_dim) if header["head_kind"] == "diag_gaussian" else CategoricalHead(head_dim)
+    head = HEAD_KINDS[header["head_kind"]](head_dim)
     try:
         # sized from the header before anything is allocated: a huge size must not reach numpy
         actor_spec, critic_spec, layout = param_layout(obs_dim, head, hidden)
@@ -317,12 +316,10 @@ def evaluate(
 
 
 def _write_steps_csv(path: Path, algo: str, env_id: str, step_series: list[np.ndarray]) -> None:
-    """One row per episode step, with the bytes `csv.writer` gives: the
-    shared `algo,env,` prefix is quoted once, and the numeric fields, which
-    never need quoting, are formatted directly."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([algo, env_id, ""])
-    prefix = buf.getvalue()[: -len("\r\n")]
+    """One row per episode step, with the bytes `csv.writer` gives. No field
+    needs quoting: `algo` is one of ALGOS, `env_id` an ENV_REGISTRY id (plain
+    words), and the rest are numbers."""
+    prefix = f"{algo},{env_id},"
     with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(STEPS_COLUMNS)
         for i, series in enumerate(step_series):
@@ -470,10 +467,8 @@ def tune(spec: TuneSpec, base_config: RunConfig, out_dir: str | Path) -> TuneRes
         except Exception as err:  # noqa: BLE001 - a failed trial must not stop the search
             score = -np.inf
             (Path(cfg.out_dir) / "trial_error.txt").write_text(f"{err}\n", encoding="utf-8")
-        sampled = {k: getattr(cfg.ppo, k) for k in TUNED_PPO_KEYS}
-        if base_config.algo == "poem":
-            sampled.update({k: getattr(cfg.poem, k) for k in TUNED_POEM_KEYS})
-        rows.append({"trial": trial, "score": score, **sampled})
+        values = {**vars(cfg.ppo), **vars(cfg.poem)}
+        rows.append({"trial": trial, "score": score, **{k: values[k] for k in tuned_keys}})
         if score > best_score:
             best_trial, best_score, best_config = trial, score, cfg
 

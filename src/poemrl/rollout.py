@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import policy as pol
-from .policy import ActorCritic, DiagGaussianHead
+from .policy import ActorCritic
 
 
 @dataclass
@@ -79,12 +79,8 @@ def collect(
     if obs is None:
         obs = env.reset()
 
-    gaussian = isinstance(ac.head, DiagGaussianHead)
     obs_buf = np.empty((n_steps, env.observation_dim), dtype=np.float64)
-    if gaussian:
-        act_buf = np.empty((n_steps, ac.head.action_dim), dtype=np.float64)
-    else:
-        act_buf = np.empty(n_steps, dtype=np.int64)
+    taken = []  # each action as act returns it: a float64 (action_dim,) row or an int64
     rew_buf = np.empty(n_steps, dtype=np.float64)
     term_buf = np.zeros(n_steps, dtype=bool)
     trunc_buf = np.zeros(n_steps, dtype=bool)
@@ -93,7 +89,7 @@ def collect(
     for t in range(n_steps):
         action = pol.act(ac, obs[None], [rng])[0]
         obs_buf[t] = obs
-        act_buf[t] = action
+        taken.append(action)
 
         result = env.step(action)
         rew_buf[t] = result.reward
@@ -107,6 +103,7 @@ def collect(
         else:
             obs = result.obs
 
+    act_buf = np.array(taken)
     # rows: the stored states, the cut-off states, then the state to resume from
     val = pol.values_batch(ac, np.vstack([obs_buf, *cut_off, obs]))
     next_val = np.append(val[1:n_steps], val[-1])
@@ -150,10 +147,5 @@ def compute_gae(
         adv[t] = running
 
     returns = adv + batch.values_old
-    if normalize and n > 1:
-        adv_out = (adv - adv.mean()) / max(adv.std(), 1e-8)
-    elif normalize:
-        adv_out = adv - adv.mean()
-    else:
-        adv_out = adv
+    adv_out = (adv - adv.mean()) / max(adv.std(), 1e-8) if normalize else adv
     return replace(batch, advantages=adv_out, advantages_raw=adv, returns=returns)

@@ -159,7 +159,8 @@ def evaluate_policy(
     deterministic: bool = True,
 ) -> EvalReport:
     """Run n_episodes, episode i seeded with seed_base + i; the deterministic
-    flag plays the distribution's mode instead of sampling.
+    flag plays the distribution's mode instead of sampling. Sampled actions
+    come from a child of the seed, not from the stream the env's reset seeds.
 
     The episodes run in lockstep, each with its own env, seed and RNG: per
     step, one stacked actor pass and one `step_arrays` call serve every live
@@ -180,7 +181,7 @@ def evaluate_policy(
             )
     obs = np.stack([env.reset(seed=seed) for env, seed in zip(envs, seeds)])
     state = tuple(np.array(values) for values in zip(*(env.state() for env in envs)))
-    rngs = None if deterministic else [np.random.default_rng(seed) for seed in seeds]
+    rngs = None if deterministic else [np.random.default_rng(np.random.SeedSequence(s).spawn(1)[0]) for s in seeds]
     totals = np.zeros(n_episodes)
     history = []  # totals after each step; an episode's series is its column's head
     steps = np.zeros(n_episodes, dtype=np.int64)

@@ -276,6 +276,29 @@ class TestSparseLander:
         # burn adds its fixed 0.03 cost
         assert r_main < r_noop
 
+    # action, fuel before, fuel after, x and y acceleration, reward charge
+    @pytest.mark.parametrize("action, fuel, fuel_left, ax, ay, charge", [
+        (0, 600.0, 600.0, 0.0, -9.8, 0.0),
+        (1, 600.0, 597.0, 0.0, -9.8 + 15.0, 0.03),
+        (2, 600.0, 599.0, -4.0, -9.8, 0.0),
+        (3, 600.0, 599.0, 4.0, -9.8, 0.0),
+        (1, 2.0, 0.0, 0.0, -9.8 + 15.0, 0.03),  # the last of the tank still fires
+        (0, 0.0, 0.0, 0.0, -9.8, 0.0),
+        (1, 0.0, 0.0, 0.0, -9.8, 0.0),  # engines dead: gravity only, no charge
+        (2, 0.0, 0.0, 0.0, -9.8, 0.0),
+        (3, 0.0, 0.0, 0.0, -9.8, 0.0),
+    ])
+    def test_one_step_per_action(self, action, fuel, fuel_left, ax, ay, charge):
+        env = SparseLander()
+        env.reset(seed=0)
+        env._x, env._y, env._vx, env._vy, env._fuel = 0.5, 5.0, 0.2, -1.0, fuel
+        r = env.step(action)
+        vx, vy = 0.2 + ax * 0.05, -1.0 + ay * 0.05
+        x = 0.5 + vx * 0.05
+        assert (r.info["fuel"], env._vx, env._vy, env._x) == (fuel_left, vx, vy, x)
+        assert r.reward == -0.3 * (abs(x) + abs(vx) + abs(vy)) * 0.05 - charge
+        assert not (r.terminated or r.truncated)
+
     def test_trajectories_bit_identical_for_same_seed(self, rng):
         actions = [int(a) for a in rng.integers(0, 4, size=200)]
         seen = []

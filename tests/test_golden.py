@@ -72,12 +72,12 @@ VARIANT_SHA256 = {
 # env -> the digests of episodes.csv and steps.csv from a sampled evaluation
 SAMPLED_EVAL_SHA256 = {
     "mountain_car_continuous": (
-        "d148bf4b5ca71b245e5b00f73c3390ae3320ca30f087c48de779bab5ed1fbd61",
-        "235313b51b21a7d3adc23268612f1f72507cf00dc8e3649a73d90cc2bec1fca8",
+        "c1de0a7021ede2fb26f74d63cd7fdcb8e300c19ae1f34082ceaeba75efac331c",
+        "8e908ff373be352ee1e0b07490f86255a8dcb9c20207f64cfe0ced705686dfc4",
     ),
     "sparse_lander": (
-        "00aadb40284ea85cccff3d5e76297740449954ac409867294e84f1b815cfe5a2",
-        "22f40f36b3c9544e6c459b87171984031e4f7239374a80e9fd6892c3749d0bb9",
+        "c96cac8efa07ffea064d365968db03d8b3fa0685973f92fd994fa88f7fa28c89",
+        "4fd3b73365fca6b5e940f3462c0f79c8d9930f53427b80015a2d2dc5218c3693",
     ),
 }
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from poemrl import cli, harness, stats
-from poemrl.config import load_run_config
-from poemrl.envs import make_env
+from poemrl.config import ALGOS, load_run_config
+from poemrl.envs import ENV_REGISTRY, make_env
 from poemrl.harness import compare, derive_streams, evaluate, load_checkpoint, save_checkpoint, train
 from poemrl.policy import ActorCritic, CategoricalHead, DiagGaussianHead
 
@@ -289,12 +289,11 @@ class TestEvaluate:
         assert {p.name: p.read_bytes() for p in result.out_dir.iterdir()} == before
         assert list((tmp_path / "fresh").iterdir()) == []
 
-    @pytest.mark.parametrize("algo", ["poem", "a,b", 'we"ird'])
-    def test_steps_csv_bytes_match_csv_writer(self, tmp_path, algo):
-        # the bulk writer must quote any algo string as csv.writer does and
-        # write each cumulative reward's repr; it is called directly, since a
-        # checkpoint's algo must be one of ALGOS
-        env_id = "mountain_car_continuous"
+    @pytest.mark.parametrize("env_id", sorted(ENV_REGISTRY))
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_steps_csv_bytes_match_csv_writer(self, tmp_path, algo, env_id):
+        # every algo and env id a checkpoint can name, and each cumulative
+        # reward's repr, give the bytes csv.writer gives
         ac = harness.build_actor_critic(make_env(env_id), (4,), 0)
         real = stats.evaluate_policy(env_id, ac, 2, seed_base=3)
         series = [np.array([math.nan, math.inf, -math.inf, -0.0, 1e-05, 0.1 + 0.2]), real.step_series[1]]
@@ -509,6 +508,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mountain_car_continuous" in out
         assert (tmp_path / "table.csv").exists()
+
+    def test_unset_flags_take_the_library_defaults(self, monkeypatch, capsys):
+        seen = {}
+
+        def fake_evaluate(checkpoint_path, env_id=None, n_episodes=7, seed_base=123, deterministic=True,
+                          out_dir=None):
+            seen.update(n_episodes=n_episodes, seed_base=seed_base)
+            return stats.EvalReport(np.zeros(1), np.ones(1, dtype=np.int64), 0.0, 0.0, [seed_base])
+
+        def fake_compare(baseline_dir, variant_dir, alpha=0.2, out_path=None):
+            seen.update(alpha=alpha)
+            return []
+
+        monkeypatch.setattr(harness, "evaluate", fake_evaluate)
+        monkeypatch.setattr(harness, "compare", fake_compare)
+        assert cli.main(["evaluate", "x.bin"]) == 0
+        assert cli.main(["compare", "a", "b"]) == 0
+        assert seen == {"n_episodes": 7, "seed_base": 123, "alpha": 0.2}
 
     def test_cli_needs_n_steps_smaller_than_budget(self, tmp_path, capsys):
         rc = cli.main([

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from poemrl import policy as pol
-from poemrl.envs import ContinuousSpace, StepResult
+from poemrl import harness, policy as pol
+from poemrl.envs import ContinuousSpace, StepResult, make_env
 from poemrl.rollout import RolloutBatch, collect, compute_gae
 
 from conftest import make_categorical_ac, make_gaussian_ac
@@ -77,6 +77,22 @@ class CutOffEnv:
         return result
 
 
+class RecordingEnv:
+    """A registered env that keeps a copy of every action it is given."""
+
+    def __init__(self, env_id):
+        self.env = make_env(env_id)
+        self.observation_dim = self.env.observation_dim
+        self.received = []
+
+    def reset(self, seed=None):
+        return self.env.reset(seed)
+
+    def step(self, action):
+        self.received.append(np.copy(action))
+        return self.env.step(action)
+
+
 def batch_from(rewards, values, terminated=None, truncated=None, bootstrap=0.0, next_values=None):
     n = len(rewards)
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -137,6 +153,17 @@ class TestCollect:
             ac = make(seed=4)
             batch, _ = collect(DriftEnv(), ac, 8, np.random.default_rng(2), DriftEnv().reset())
             assert np.array_equal(batch.log_probs_old, pol.logp_batch(ac, batch.obs, batch.actions))
+
+    @pytest.mark.parametrize("env_id, shape, dtype", [
+        ("mountain_car_continuous", (300, 1), np.float64),
+        ("sparse_lander", (300,), np.int64),
+    ])
+    def test_actions_are_what_the_env_received(self, env_id, shape, dtype):
+        env = RecordingEnv(env_id)
+        ac = harness.build_actor_critic(env.env, (8,), param_seed=3)
+        batch, _ = collect(env, ac, 300, np.random.default_rng(4), env.reset(seed=5))
+        assert batch.actions.shape == shape and batch.actions.dtype == dtype
+        assert np.array_equal(batch.actions, np.array(env.received))
 
     # 14 steps end on a step that is both terminated and cut off, 18 on a
     # cut-off step, 19 on an ordinary step

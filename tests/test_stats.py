@@ -3,6 +3,7 @@ identities, and the deterministic evaluation protocol, whose lockstep
 episodes must equal episodes played one after another."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from poemrl import harness, stats
 from poemrl.autodiff import NumericalError
-from poemrl.envs import ArrayStep, ContinuousSpace, StepResult, make_env
+from poemrl.envs import ArrayStep, ContinuousSpace, SparseLander, StepResult, make_env
 from poemrl.stats import EvalReport, compare_runs, evaluate_policy, regularized_incomplete_beta, welch_t_test
 
 from conftest import make_categorical_ac, make_gaussian_ac
@@ -203,7 +204,7 @@ def sequential_evaluate(make, ac, n_episodes, seed_base, deterministic) -> EvalR
         seed = seed_base + i
         env = make()
         obs = env.reset(seed=seed)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         total, cumulative = 0.0, []
         while True:
             result = env.step(sample_row(one_row_distribution(ac, obs), rng, deterministic))
@@ -336,3 +337,24 @@ class TestLockstepEvaluation:
         with pytest.raises(ValueError, match="do not match"):
             evaluate_policy(make, make_gaussian_ac(), 5, seed_base=0)
         assert log == []
+
+    def test_sampled_actions_do_not_reuse_the_env_stream(self):
+        # with a uniform 4-way actor the first action is floor(4u) of the action
+        # generator's first uniform draw u, and reset places the lander at
+        # x0 = 2u' - 1 from the env's first draw u': one shared stream would make
+        # every first action floor(2 * (x0 + 1))
+        first = []
+
+        class Lander(SparseLander):
+            @classmethod
+            def step_arrays(cls, state, actions):
+                if not first:
+                    first.append(actions.tolist())
+                return super().step_arrays(state, actions)
+
+        ac = harness.build_actor_critic(SparseLander(), (8,), param_seed=0)
+        for array in ac.actor_layers[-1]:  # the final layer's W and b: every logit is 0
+            array[:] = 0.0
+        report = evaluate_policy(Lander, ac, 40, seed_base=10_000, deterministic=False)
+        x0 = [SparseLander().reset(seed=seed)[0] for seed in report.seeds]
+        assert first[0] != [math.floor(2.0 * (x + 1.0)) for x in x0]
