@@ -147,7 +147,7 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCritic, dict]:
         raise ValueError(f"{path}: bad checkpoint: env_id must be a string, got {header['env_id']!r}")
     if header["algo"] not in ALGOS:
         raise ValueError(f"{path}: unknown algo {header['algo']!r}, expected one of {ALGOS}")
-    if header["head_kind"] not in HEAD_KINDS:
+    if not isinstance(header["head_kind"], str) or header["head_kind"] not in HEAD_KINDS:
         raise ValueError(f"{path}: unknown head_kind {header['head_kind']!r}, expected one of {tuple(HEAD_KINDS)}")
     obs_dim, head_dim, hidden = header["obs_dim"], header["head_dim"], header["hidden_sizes"]
     if not isinstance(hidden, list) or not all(type(n) is int for n in (obs_dim, head_dim, *hidden)):
@@ -467,8 +467,8 @@ def tune(spec: TuneSpec, base_config: RunConfig, out_dir: str | Path) -> TuneRes
         except Exception as err:  # noqa: BLE001 - a failed trial must not stop the search
             score = -np.inf
             (Path(cfg.out_dir) / "trial_error.txt").write_text(f"{err}\n", encoding="utf-8")
-        values = {**vars(cfg.ppo), **vars(cfg.poem)}
-        rows.append({"trial": trial, "score": score, **{k: values[k] for k in tuned_keys}})
+        rows.append({"trial": trial, "score": score,
+                     **{k: getattr(cfg.ppo if k in TUNED_PPO_KEYS else cfg.poem, k) for k in tuned_keys}})
         if score > best_score:
             best_trial, best_score, best_config = trial, score, cfg
 

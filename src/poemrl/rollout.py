@@ -89,7 +89,7 @@ def collect(
     for t in range(n_steps):
         action = pol.act(ac, obs[None], [rng])[0]
         obs_buf[t] = obs
-        taken.append(action)
+        taken.append(action.copy())  # an env may rewrite the action it is given
 
         result = env.step(action)
         rew_buf[t] = result.reward

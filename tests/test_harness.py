@@ -156,6 +156,7 @@ class TestCheckpointHeader:
         ("head_dim", None), ("obs_dim", "two"), ("hidden_sizes", 4),
         ("head_dim", True), ("obs_dim", 2.0), ("hidden_sizes", [4.0]), ("hidden_sizes", [False]),
         ("env_id", ["x"]), ("env_id", 3), ("algo", [1]), ("algo", "sac"),
+        ("head_kind", ["categorical"]), ("head_kind", {}),
     ])
     def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, key, value):
         path = self._checkpoint(tmp_path)

@@ -47,6 +47,14 @@ class DriftEnv:
         return StepResult(np.array([self.t * 0.01, -self.t * 0.01]), 0.5, False, False, {})
 
 
+class ClippingDriftEnv(DriftEnv):
+    """DriftEnv that zeroes the action array it is given, in place."""
+
+    def step(self, action):
+        action[...] = 0.0
+        return super().step(action)
+
+
 class CutOffEnv:
     """Hits a time limit every `limit` steps of an episode and terminates at
     the given global steps; every observation is distinct, and every step
@@ -153,6 +161,13 @@ class TestCollect:
             ac = make(seed=4)
             batch, _ = collect(DriftEnv(), ac, 8, np.random.default_rng(2), DriftEnv().reset())
             assert np.array_equal(batch.log_probs_old, pol.logp_batch(ac, batch.obs, batch.actions))
+
+    def test_env_that_rewrites_its_action_leaves_the_batch_alone(self):
+        ac = make_gaussian_ac(seed=6)
+        kept, _ = collect(DriftEnv(), ac, 8, np.random.default_rng(3), DriftEnv().reset())
+        clipped, _ = collect(ClippingDriftEnv(), ac, 8, np.random.default_rng(3), DriftEnv().reset())
+        assert np.array_equal(clipped.actions, kept.actions)
+        assert np.array_equal(clipped.log_probs_old, kept.log_probs_old)
 
     @pytest.mark.parametrize("env_id, shape, dtype", [
         ("mountain_car_continuous", (300, 1), np.float64),
