@@ -3,11 +3,11 @@ files across refactors.
 
 A short run on each env covers both action heads and the mutation path.
 The variant cases cover scoring paths that no default run takes: four
-candidates per trigger, mutating the critic too, and a categorical head
-whose entropy term counts in the score. The sampled cases evaluate the
-same checkpoints with the stochastic policy, one RNG per episode. A change
-that alters trajectories on purpose updates these digests and says so in
-CHANGES.md.
+candidates per trigger, mutating the critic too, a counted entropy term
+on both heads, and a value term weighted zero, whose loss is still
+reported. The sampled cases evaluate the same checkpoints with the
+stochastic policy, one RNG per episode. A change that alters trajectories
+on purpose updates these digests and says so in CHANGES.md.
 """
 
 import hashlib
@@ -59,6 +59,24 @@ VARIANT_SHA256 = {
         "0685bb9341d025fe019d3a191fa2a6a27e2bd701ecc775fec7c46a499835292c",
         "9a7345456f58c735bf7d5d04e09b99c9766506ecb5450cddeb28da23ba3164cc",
         "4b6ddfca8c6676c498183c97d4f068495985a69c3383820088b85ec3d66c6c85",
+    ),
+    ("mountain_car_continuous", ("ppo", "alpha_ent"), "0.01"): (
+        "9f5ef8130a32e166df04cb8c1af2b10d15c019b60125a05f279d4224139c1a39",
+        "a58e2e11b6d8f092f249a37f9f5f779871f9b542bb1a4911b9d2e880d9ac565d",
+        "0cee619114a24781c9ed7cec9678fc701648e4edd5078493393a13554f3f7190",
+        "7dd0bc236b179a376d3b8672744167e32620348f424df69f37156a8af27d1d7f",
+    ),
+    ("mountain_car_continuous", ("ppo", "alpha_vf"), "0.0"): (
+        "72b120ca3756280e0a66c190aa510ea7c98f5f38f9a6d0316a3609103a9a8762",
+        "acd9161004c7206fd6f25a67966161e9d593787cab6feedd30bce24bfdddda10",
+        "d92a2f1457e2aa89b8ba911fc31ce469fa405db9686acf2a2a9893d0746dd4ab",
+        "9a2bc9d7343e424cc1d9cf6a66cb80a58e05e695c60a87aeba7e0e6112c715f4",
+    ),
+    ("sparse_lander", ("ppo", "alpha_vf"), "0.0"): (
+        "75fcfe3bc856a7204cf993f1d9be442e9675a94f69f35c82e3bc550d473f0408",
+        "b09d9a1c134e4a6d7fe6510d83e71cdbfe2b6e85a26d44ba006040f60d81670c",
+        "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
+        "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
     ),
     ("sparse_lander", ("ppo", "alpha_ent"), "0.01"): (
         "5a386b743eed9b87f90a3ab446e318b7f6f0e98efd27c2d3fbf416f07af820f5",
