@@ -7,7 +7,7 @@ import inspect
 import sys
 
 from . import harness
-from .config import ALGOS, ConfigError, TuneSpec, load_run_config, parse_float, parse_int
+from .config import ALGOS, TUNE_TRIAL_TIMESTEPS, ConfigError, TuneSpec, load_run_config, parse_float, parse_int
 
 
 # each config flag sets one [run] key; its text is parsed like a config value
@@ -75,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_tune)
     p_tune.add_argument("--trials", default=str(TuneSpec.n_trials), metavar="N")
     p_tune.add_argument("--bound", default=repr(TuneSpec.bound), metavar="F",
-                        help="relative deviation per hyperparameter")
+                        help="relative deviation per hyperparameter, below 1")
     p_tune.add_argument("--trial-timesteps", metavar="N",
-                        help="timesteps per trial (default: 50k mountain car, 100k otherwise)")
+                        help="timesteps per trial (default: " + ", ".join(
+                            f"{steps} on {env}" for env, steps in TUNE_TRIAL_TIMESTEPS.items()) + ")")
     p_tune.add_argument("--episodes", default=str(TuneSpec.eval_episodes), metavar="N",
                         help="evaluation episodes per trial")
     p_tune.add_argument("--tune-seed", default=str(TuneSpec.seed), metavar="N",
@@ -111,13 +112,10 @@ def main(argv: list[str] | None = None) -> int:
             print(harness.format_comparison(rows))
         elif args.command == "tune":
             config = load_run_config(args.config, _flag_overrides(args))
-            trial_steps = _number(args, "trial_timesteps", parse_int)
-            if trial_steps is None:
-                trial_steps = 50_000 if config.env_id == "mountain_car_continuous" else 100_000
             spec = TuneSpec(
                 n_trials=_number(args, "trials", parse_int),
                 bound=_number(args, "bound", parse_float),
-                trial_timesteps=trial_steps,
+                trial_timesteps=_number(args, "trial_timesteps", parse_int),
                 eval_episodes=_number(args, "episodes", parse_int),
                 seed=_number(args, "tune_seed", _parse_seed),
             )

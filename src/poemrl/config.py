@@ -37,6 +37,9 @@ ENV_DEFAULTS: dict[str, dict[tuple[str, str], str]] = {
     },
 }
 
+# per-env training budget of one tune trial, unless TuneSpec sets one
+TUNE_TRIAL_TIMESTEPS: dict[str, int] = {"mountain_car_continuous": 50_000, "sparse_lander": 100_000}
+
 
 class ConfigError(ValueError):
     pass
@@ -66,6 +69,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_steps < 1 or self.total_timesteps < self.n_steps:
             raise ConfigError("need total_timesteps >= n_steps >= 1")
+        if self.ppo.minibatch_size > self.n_steps:
+            raise ConfigError(f"ppo.minibatch_size ({self.ppo.minibatch_size}) exceeds "
+                              f"run.n_steps ({self.n_steps}), the rollout it is drawn from")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0 (0 = final only)")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
@@ -235,15 +241,15 @@ class TuneSpec:
     """Bounded random search around the base config's values."""
 
     n_trials: int = 20
-    bound: float = 0.10  # relative deviation per hyperparameter
-    trial_timesteps: int = 50_000
+    bound: float = 0.10  # relative deviation per hyperparameter, below 1 so no value changes sign
+    trial_timesteps: int | None = None  # None: TUNE_TRIAL_TIMESTEPS of the base config's env
     eval_episodes: int = 4
     seed: int = 0
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
-        if not 0.0 <= self.bound < math.inf:
-            raise ConfigError(f"bound must be a finite nonnegative number, got {self.bound}")
-        if self.trial_timesteps < 1 or self.eval_episodes < 1:
+        if not 0.0 <= self.bound < 1.0:
+            raise ConfigError(f"bound must be a finite nonnegative number below 1, got {self.bound}")
+        if (self.trial_timesteps is not None and self.trial_timesteps < 1) or self.eval_episodes < 1:
             raise ConfigError("trial_timesteps and eval_episodes must be >= 1")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nn, poem, ppo, rollout, stats
 from .autodiff import NumericalError
-from .config import ALGOS, RunConfig, TuneSpec, config_to_text
+from .config import ALGOS, TUNE_TRIAL_TIMESTEPS, RunConfig, TuneSpec, config_to_text
 from .envs import ContinuousSpace, make_env
 from .policy import ActorCritic, CategoricalHead, DiagGaussianHead, param_layout
 from .stats import EvalReport
@@ -344,9 +344,12 @@ def _read_episode_csvs(run_set_dir: str | Path) -> dict[str, list[float]]:
             env_rewards: dict[str, list[float]] = {}
             for row in reader:
                 try:
-                    env_rewards.setdefault(row["env"], []).append(float(row["total_reward"]))
+                    env, reward = row["env"], float(row["total_reward"])
                 except (KeyError, TypeError, ValueError):
                     raise ValueError(f"{path}: ragged or malformed row {row!r}") from None
+                if not np.isfinite(reward):
+                    raise ValueError(f"{path}: total_reward must be finite, got {row['total_reward']!r}")
+                env_rewards.setdefault(env, []).append(reward)
         if not env_rewards:
             raise ValueError(f"{path}: no evaluation episodes")
         for env, rewards in env_rewards.items():
@@ -447,6 +450,8 @@ def tune(spec: TuneSpec, base_config: RunConfig, out_dir: str | Path) -> TuneRes
     deterministic evaluation; failed trials score -inf and the search
     continues. Ties keep the earliest trial.
     """
+    if spec.trial_timesteps is None:
+        spec = replace(spec, trial_timesteps=TUNE_TRIAL_TIMESTEPS[base_config.env_id])
     out_root = _empty_out_dir(out_dir)
     rng = np.random.default_rng(spec.seed)
     eval_seed_base = 900_000 + spec.seed

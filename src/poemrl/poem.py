@@ -196,8 +196,6 @@ def poem_update(
 ) -> tuple[ActorCritic, EmaTracker, AdamState, list[tuple[LossBreakdown, DiversityMetrics]]]:
     """Gradient step, EMA update, post-step divergence check, and (when the
     policy has stagnated) mutate-and-select, per minibatch."""
-    if ppo_cfg.minibatch_size > len(batch):
-        raise ValueError("minibatch_size exceeds rollout size")
     diagnostics = []
     plan = ppo.minibatch_plan(len(batch), ppo_cfg.minibatch_size, ppo_cfg.epochs, shuffle_rng)
     for k, idx in enumerate(plan):

@@ -246,23 +246,16 @@ def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
 
 
 def policy_graph(
-    ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray, actions: np.ndarray, entropy_on_tape: bool = True
-) -> tuple[Tensor, Tensor | float]:
-    """Build (per-sample log-prob (n,), mean entropy scalar) on the tape.
-    With `entropy_on_tape` False the entropy is a float, computed in numpy
-    with the tape's operations in the tape's order, so its bits are the same."""
+    ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray, actions: np.ndarray
+) -> tuple[Tensor, Tensor]:
+    """Build (per-sample log-prob (n,), mean entropy scalar) on the tape."""
     out = nn.forward_batch_t(ac.actor_spec, leaves, _features(ac, obs), prefix="actor.")
     if isinstance(ac.head, DiagGaussianHead):
         log_std = ad.clip(leaves["log_std"], LOG_STD_MIN, LOG_STD_MAX)
         logp = ad.diag_gaussian_logp(out, log_std, actions)
-        if not entropy_on_tape:
-            return logp, float(log_std.data.sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
         ent = ad.add(ad.tsum(log_std), ad.constant(GAUSSIAN_ENTROPY_CONST * ac.head.action_dim))
         return logp, ent
     log_all = ad.add(out, ad.mul(ad.logsumexp_rows(out), -1.0))
-    if not entropy_on_tape:
-        p_log_p = np.exp(log_all.data) * log_all.data
-        return ad.gather_rows(log_all, actions), float(p_log_p.sum(axis=1).sum() * (1.0 / len(p_log_p)) * -1.0)
     # log_all's three consumers are made in this order so that backward adds
     # their gradients as a depth-first walk of the loss would: gather first
     p_log_p = ad.mul(ad.exp(log_all), log_all)

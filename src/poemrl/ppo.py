@@ -98,6 +98,8 @@ def minibatch_plan(
     n: int, minibatch_size: int, epochs: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Shuffled minibatch index sets for every epoch, in execution order."""
+    if minibatch_size > n:
+        raise ValueError(f"minibatch_size {minibatch_size} exceeds rollout size {n}")
     plan = []
     for _ in range(epochs):
         perm = rng.permutation(n)
@@ -116,11 +118,12 @@ def loss_graph(
 ) -> tuple[Tensor, LossBreakdown]:
     """Build the total loss on the tape and report its pieces.
 
-    Terms with a zero coefficient are left out of the graph (their gradient
-    contribution would be exactly zero anyway); their diagnostic values are
-    still reported, the entropy's computed off the tape.
+    Every term is built and reported; a zero coefficient only keeps its term
+    out of the sum, so backward never reaches it. The diversity term alone
+    is built only for a nonzero lambda_div, since it needs the reference
+    policy's actor pass.
     """
-    logp_t, ent = pol.policy_graph(ac, leaves, mb.obs, mb.actions, entropy_on_tape=cfg.alpha_ent != 0.0)
+    logp_t, ent_t = pol.policy_graph(ac, leaves, mb.obs, mb.actions)
     l_ppo_t = ad.clipped_surrogate(logp_t, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
     loss = l_ppo_t
 
@@ -134,22 +137,16 @@ def loss_graph(
         loss = ad.add(loss, ad.mul(kl_t, -lambda_div))
         kl_val = float(kl_t.data)
 
+    l_vf_t = ad.mean_squared_error(pol.values_graph(ac, leaves, mb.obs), mb.returns)
     if cfg.alpha_vf != 0.0:
-        v_t = pol.values_graph(ac, leaves, mb.obs)
-        l_vf_t = ad.mean_squared_error(v_t, mb.returns)
         loss = ad.add(loss, ad.mul(l_vf_t, cfg.alpha_vf))
-        l_vf_val = float(l_vf_t.data)
-    else:
-        l_vf_val = value_loss(pol.values_batch(ac, mb.obs), mb.returns)
-
     if cfg.alpha_ent != 0.0:
-        loss = ad.add(loss, ad.mul(ent, -cfg.alpha_ent))
-        ent = float(ent.data)
+        loss = ad.add(loss, ad.mul(ent_t, -cfg.alpha_ent))
 
     breakdown = LossBreakdown(
         l_ppo=float(l_ppo_t.data),
-        l_vf=l_vf_val,
-        entropy=ent,
+        l_vf=float(l_vf_t.data),
+        entropy=float(ent_t.data),
         kl_div=kl_val,
         l_total=float(loss.data),
     )
@@ -243,8 +240,6 @@ def ppo_update(
     shuffle_rng: np.random.Generator,
 ) -> tuple[ActorCritic, AdamState, list[LossBreakdown]]:
     """Standard clipped-surrogate update: epochs of shuffled minibatches."""
-    if cfg.minibatch_size > len(batch):
-        raise ValueError("minibatch_size exceeds rollout size")
     diagnostics = []
     for k, idx in enumerate(minibatch_plan(len(batch), cfg.minibatch_size, cfg.epochs, shuffle_rng)):
         try:

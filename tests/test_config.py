@@ -145,6 +145,12 @@ class TestValidation:
                 environ={},
             )
 
+    def test_minibatch_larger_than_rollout_names_both_keys(self):
+        with pytest.raises(ConfigError, match=r"ppo.minibatch_size \(64\) exceeds run.n_steps \(32\)"):
+            load_run_config(flag_overrides={("run", "n_steps"): "32"}, environ={})
+        cfg = load_run_config(flag_overrides={("run", "n_steps"): "64"}, environ={})
+        assert cfg.ppo.minibatch_size == cfg.n_steps == 64
+
     def test_unknown_env_or_algo(self):
         with pytest.raises(ConfigError):
             load_run_config(flag_overrides={("run", "env"): "car_racing"}, environ={})
@@ -186,8 +192,9 @@ class TestValidation:
     def test_tune_spec_validation(self):
         with pytest.raises(ConfigError):
             TuneSpec(n_trials=0)
-        for bound in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="bound must be a finite nonnegative number"):
+        # from a bound of 1 up, a jittered value could reach 0 or change sign
+        for bound in (-0.1, float("nan"), float("inf"), 1.0, 1.9):
+            with pytest.raises(ConfigError, match=f"bound must be a finite nonnegative number below 1, got {bound}"):
                 TuneSpec(bound=bound)
 
 
@@ -201,11 +208,12 @@ def run_configs(draw):
     unit = st.floats(0.0, 1.0)
     nonneg = st.floats(min_value=0.0, **FINITE)
     positive = st.floats(min_value=0.0, exclude_min=True, **FINITE)
+    n_steps = draw(st.integers(1, 10**6))
     ppo = PpoConfig(
         learning_rate=draw(positive),
         clip_epsilon=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         epochs=draw(st.integers(0, 100)),
-        minibatch_size=draw(st.integers(1, 10**6)),
+        minibatch_size=draw(st.integers(1, n_steps)),
         gamma=draw(unit),
         lam=draw(unit),
         alpha_vf=draw(nonneg),
@@ -222,7 +230,6 @@ def run_configs(draw):
         n_candidates=draw(st.integers(1, 1000)),
         mutate_scope=draw(st.sampled_from(MUTATE_SCOPES)),
     )
-    n_steps = draw(st.integers(1, 10**6))
     return RunConfig(
         env_id=draw(st.sampled_from(sorted(ENV_REGISTRY))),
         algo=draw(st.sampled_from(ALGOS)),

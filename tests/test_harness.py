@@ -7,12 +7,13 @@ import json
 import math
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poemrl import cli, harness, stats
-from poemrl.config import ALGOS, load_run_config
+from poemrl.config import ALGOS, TUNE_TRIAL_TIMESTEPS, TuneSpec, load_run_config
 from poemrl.envs import ENV_REGISTRY, make_env
 from poemrl.harness import compare, derive_streams, evaluate, load_checkpoint, save_checkpoint, train
 from poemrl.policy import ActorCritic, CategoricalHead, DiagGaussianHead
@@ -405,8 +406,6 @@ class TestCompare:
 class TestTune:
     def test_single_trial_returns_that_trial(self, tmp_path):
         base = tiny_config(tmp_path, algo="ppo", seed=5)
-        from poemrl.config import TuneSpec
-
         spec = TuneSpec(n_trials=1, trial_timesteps=128, eval_episodes=1, seed=3)
         result = harness.tune(spec, base, tmp_path / "tune")
         assert result.best_trial == 0
@@ -415,8 +414,6 @@ class TestTune:
 
     def test_zero_bound_reproduces_center(self, tmp_path):
         base = tiny_config(tmp_path, algo="poem", seed=6)
-        from poemrl.config import TuneSpec
-
         spec = TuneSpec(n_trials=2, bound=0.0, trial_timesteps=128, eval_episodes=1, seed=3)
         result = harness.tune(spec, base, tmp_path / "tune")
         assert result.best_config.ppo == base.ppo
@@ -424,8 +421,6 @@ class TestTune:
 
     def test_fixed_master_seed_identical_trials(self, tmp_path):
         base = tiny_config(tmp_path, algo="poem", seed=7)
-        from poemrl.config import TuneSpec
-
         spec = TuneSpec(n_trials=3, trial_timesteps=128, eval_episodes=1, seed=11)
         r1 = harness.tune(spec, base, tmp_path / "t1")
         r2 = harness.tune(spec, base, tmp_path / "t2")
@@ -455,8 +450,6 @@ class TestAtomicOutputs:
         assert old.read_bytes() == b"an earlier table"
 
     def test_failed_trials_csv_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        from poemrl.config import TuneSpec
-
         monkeypatch.setattr(harness.csv, "DictWriter", FailingDictWriter)
         spec = TuneSpec(n_trials=2, trial_timesteps=128, eval_episodes=1, seed=3)
         with pytest.raises(OSError, match="disk full"):
@@ -464,8 +457,6 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in (tmp_path / "tune").iterdir()) == ["trial_000", "trial_001"]
 
     def test_failed_best_config_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        from poemrl.config import TuneSpec
-
         real, calls = harness.config_to_text, []
 
         def config_text(config):  # the trial's config.ini, then best_config.ini, which cannot be encoded
@@ -611,6 +602,43 @@ class TestCli:
         err = self._one_line_error([*argv, flag, value, "--out", str(tmp_path / "x")], capsys)
         assert f"{flag}: {named}, got {value!r}" in err
         assert not (tmp_path / "x").exists()
+
+    def test_cli_minibatch_larger_than_rollout_fails_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[run]\nn_steps = 32\n[ppo]\nminibatch_size = 64\n")
+        out = tmp_path / "run"
+        out.mkdir()
+        err = self._one_line_error(["train", "--config", str(path), "--out", str(out)], capsys)
+        assert "ppo.minibatch_size (64) exceeds run.n_steps (32)" in err
+        assert list(out.iterdir()) == []
+
+    def test_cli_tune_bound_of_one_or_more_is_a_one_line_error(self, tmp_path, capsys):
+        err = self._one_line_error(["tune", "--bound", "1.5", "--out", str(tmp_path / "x")], capsys)
+        assert "bound must be a finite nonnegative number below 1, got 1.5" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("reward", ["nan", "inf", "-inf"])
+    def test_cli_compare_non_finite_reward_is_a_one_line_error(self, tmp_path, capsys, reward):
+        set_a, set_b = tmp_path / "a", tmp_path / "b"
+        synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0, 2.0, 3.0])
+        synthetic_run_set(set_b, "poem", "sparse_lander", [1.5, float(reward), 3.0])
+        err = self._one_line_error(["compare", str(set_a), str(set_b)], capsys)
+        assert f"{set_b / 'seed_1' / 'episodes.csv'}: total_reward must be finite, got {reward!r}" in err
+
+    @pytest.mark.parametrize("env", sorted(TUNE_TRIAL_TIMESTEPS))
+    def test_tune_budget_is_the_same_from_python_and_the_cli(self, tmp_path, monkeypatch, env):
+        budgets = []
+
+        def fake_train(cfg):  # records the trial's budget, then fails the trial
+            budgets.append(cfg.total_timesteps)
+            Path(cfg.out_dir).mkdir(parents=True)
+            raise RuntimeError("not trained")
+
+        monkeypatch.setattr(harness, "train", fake_train)
+        base = load_run_config(flag_overrides={("run", "env"): env}, environ={})
+        harness.tune(TuneSpec(n_trials=1), base, tmp_path / "library")
+        assert cli.main(["tune", "--env", env, "--trials", "1", "--out", str(tmp_path / "cli")]) == 0
+        assert budgets == [TUNE_TRIAL_TIMESTEPS[env]] * 2
 
     @pytest.mark.parametrize("argv", [["train"], ["tune", "--trials", "1", "--trial-timesteps", "512"]],
                              ids=["train", "tune"])

@@ -455,7 +455,8 @@ class TestUpdateWork:
         monkeypatch.setattr(Tensor, "__init__", counted)
         ppo.apply_minibatch_step(ac, mb, cfg.ppo, nn.init_adam(len(ac.params)), cfg.poem.lambda_div,
                                  ac.policy_params() + 0.01)
-        assert len(created) == 27
+        # the zero-weighted entropy's three nodes are built but kept out of the sum
+        assert len(created) == 30
 
 
 class TestUpdateErrors:

@@ -346,22 +346,3 @@ class TestTapeComposition:
 
             fd = central_diff(scalar, ac.params.data)
             assert max_rel_err(analytic, fd) <= 1e-5
-
-    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
-    def test_entropy_off_the_tape_has_the_tape_bits(self, make, rng):
-        # a zero-weighted entropy is only reported; it must read as the tape's
-        for trial in range(20):
-            ac = make(hidden=(6, 5), seed=trial)
-            ac.params.data[:] = rng.normal(scale=1.5, size=len(ac.params))
-            n = int(rng.integers(1, 70))
-            obs = rng.normal(scale=3.0, size=(n, 2))
-            if isinstance(ac.head, DiagGaussianHead):
-                ac.log_std[:] = rng.choice([-30.0, 0.3, 5.0, pol.LOG_STD_MIN, pol.LOG_STD_MAX], size=ac.log_std.shape)
-                actions = rng.normal(size=(n, 1))
-            else:
-                actions = rng.integers(0, ac.head.n_actions, size=n)
-            logp_t, ent_t = pol.policy_graph(ac, nn.make_leaves(ac.params), obs, actions)
-            logp_off, ent = pol.policy_graph(ac, nn.make_leaves(ac.params), obs, actions, entropy_on_tape=False)
-            assert isinstance(ent, float)
-            assert repr(ent) == repr(float(ent_t.data))
-            assert logp_off.data.tobytes() == logp_t.data.tobytes()

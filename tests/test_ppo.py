@@ -133,6 +133,29 @@ class TestLossGraph:
             assert max_rel_err(analytic, fd) <= 1e-5
 
 
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_zero_weights_only_keep_terms_out_of_the_sum(self, make, rng):
+        # the value and entropy terms are still built and reported, but
+        # backward never reaches them: the critic gets no gradient at all
+        for k in range(20):
+            ac = make(hidden=(6, 5), seed=k)
+            ac.params.data[:] = rng.normal(scale=1.5, size=len(ac.params))
+            if hasattr(ac.head, "action_dim"):
+                ac.log_std[:] = rng.choice([-30.0, 0.3, 5.0, pol.LOG_STD_MIN, pol.LOG_STD_MAX], size=ac.log_std.shape)
+            mb = random_minibatch(ac, rng, n=int(rng.integers(1, 70)))
+            lambda_div = (0.0, 0.3)[k % 2]
+            ema = ac.policy_params() + rng.normal(scale=0.05, size=ac.n_policy)
+            leaves = nn.make_leaves(ac.params)
+            loss_t, bare = ppo.loss_graph(ac, leaves, mb, small_cfg(alpha_vf=0.0, alpha_ent=0.0), lambda_div, ema)
+            loss_t.backward()
+            grad = nn.collect_leaf_grads(leaves, ac.params.layout)
+            assert np.array_equal(grad[ac.n_policy :], np.zeros(len(ac.params) - ac.n_policy)), k
+            weighted_cfg = small_cfg(alpha_vf=0.5, alpha_ent=0.02)
+            _, weighted = ppo.loss_graph(ac, nn.make_leaves(ac.params), mb, weighted_cfg, lambda_div, ema)
+            assert repr(bare.l_vf) == repr(weighted.l_vf), k
+            assert repr(bare.entropy) == repr(weighted.entropy), k
+
+
 class TestValuePathMatchesTape:
     """`evaluate_loss` (numpy) and `loss_graph` (tape) compute the same loss."""
 
