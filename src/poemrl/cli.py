@@ -6,7 +6,10 @@ import argparse
 import inspect
 import sys
 
+import numpy as np
+
 from . import harness
+from .autodiff import NumericalError
 from .config import ALGOS, TUNE_TRIAL_TIMESTEPS, ConfigError, TuneSpec, load_run_config, parse_float, parse_int
 
 
@@ -86,45 +89,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> None:
+    """Run one parsed command; `main` turns its errors into one line."""
+    if args.command == "train":
+        config = load_run_config(args.config, _flag_overrides(args))
+        result = harness.train(config)
+        print(f"trained {config.algo} on {config.env_id} for {config.total_timesteps} steps")
+        print(f"checkpoint: {result.checkpoint_path}")
+        print(f"metrics:    {result.metrics_path}")
+    elif args.command == "evaluate":
+        report = harness.evaluate(
+            args.checkpoint,
+            env_id=args.env,
+            n_episodes=_number(args, "episodes", parse_int),
+            seed_base=_number(args, "seed", _parse_seed),
+            deterministic=not args.stochastic,
+            out_dir=args.out,
+        )
+        print(f"episodes: {len(report.per_episode_rewards)}  "
+              f"mean reward: {report.mean:.2f}  std: {report.std:.2f}")
+    elif args.command == "compare":
+        rows = harness.compare(args.baseline_dir, args.variant_dir,
+                               _number(args, "alpha", parse_float), args.out)
+        print(harness.format_comparison(rows))
+    elif args.command == "tune":
+        config = load_run_config(args.config, _flag_overrides(args))
+        spec = TuneSpec(
+            n_trials=_number(args, "trials", parse_int),
+            bound=_number(args, "bound", parse_float),
+            trial_timesteps=_number(args, "trial_timesteps", parse_int),
+            eval_episodes=_number(args, "episodes", parse_int),
+            seed=_number(args, "tune_seed", _parse_seed),
+        )
+        out_dir = args.out or "tune_out"
+        result = harness.tune(spec, config, out_dir)
+        print(f"best trial: {result.best_trial}  score: {result.best_score:.2f}")
+        print(f"best config: {out_dir}/best_config.ini")
+        print(f"trials log:  {result.trials_path}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            config = load_run_config(args.config, _flag_overrides(args))
-            result = harness.train(config)
-            print(f"trained {config.algo} on {config.env_id} for {config.total_timesteps} steps")
-            print(f"checkpoint: {result.checkpoint_path}")
-            print(f"metrics:    {result.metrics_path}")
-        elif args.command == "evaluate":
-            report = harness.evaluate(
-                args.checkpoint,
-                env_id=args.env,
-                n_episodes=_number(args, "episodes", parse_int),
-                seed_base=_number(args, "seed", _parse_seed),
-                deterministic=not args.stochastic,
-                out_dir=args.out,
-            )
-            print(f"episodes: {len(report.per_episode_rewards)}  "
-                  f"mean reward: {report.mean:.2f}  std: {report.std:.2f}")
-        elif args.command == "compare":
-            rows = harness.compare(args.baseline_dir, args.variant_dir,
-                                   _number(args, "alpha", parse_float), args.out)
-            print(harness.format_comparison(rows))
-        elif args.command == "tune":
-            config = load_run_config(args.config, _flag_overrides(args))
-            spec = TuneSpec(
-                n_trials=_number(args, "trials", parse_int),
-                bound=_number(args, "bound", parse_float),
-                trial_timesteps=_number(args, "trial_timesteps", parse_int),
-                eval_episodes=_number(args, "episodes", parse_int),
-                seed=_number(args, "tune_seed", _parse_seed),
-            )
-            out_dir = args.out or "tune_out"
-            result = harness.tune(spec, config, out_dir)
-            print(f"best trial: {result.best_trial}  score: {result.best_score:.2f}")
-            print(f"best config: {out_dir}/best_config.ini")
-            print(f"trials log:  {result.trials_path}")
-    except (ConfigError, OSError, ValueError) as err:
+        with np.errstate(all="ignore"):  # a non-finite result is one error line, not a warning per op
+            _run(args)
+    except (ConfigError, NumericalError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

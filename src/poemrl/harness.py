@@ -23,8 +23,8 @@ import numpy as np
 from . import nn, poem, ppo, rollout, stats
 from .autodiff import NumericalError
 from .config import ALGOS, TUNE_TRIAL_TIMESTEPS, RunConfig, TuneSpec, config_to_text
-from .envs import ContinuousSpace, make_env
-from .policy import ActorCritic, CategoricalHead, DiagGaussianHead, param_layout
+from .envs import make_env
+from .policy import ActorCritic, CategoricalHead, DiagGaussianHead, head_for, param_layout
 from .stats import EvalReport
 
 CHECKPOINT_MAGIC = b"PRLCKPT1"
@@ -65,25 +65,11 @@ def derive_streams(seed: int) -> RunStreams:
     )
 
 
-def _head_for(space) -> DiagGaussianHead | CategoricalHead:
-    """The policy head that acts in an env's action space."""
-    return DiagGaussianHead(space.dim) if isinstance(space, ContinuousSpace) else CategoricalHead(space.n)
-
-
 def build_actor_critic(env, hidden_sizes: tuple[int, ...], param_seed: int,
                        log_std_init: float = 0.0) -> ActorCritic:
-    return ActorCritic.create(env.observation_dim, _head_for(env.action_space), hidden_sizes, seed=param_seed,
+    return ActorCritic.create(env.observation_dim, head_for(env.action_space), hidden_sizes, seed=param_seed,
                               obs_scale=getattr(env, "observation_scale", None),
                               log_std_init=log_std_init)
-
-
-def validate_compatible(ac: ActorCritic, env) -> None:
-    if env.observation_dim != ac.obs_dim():
-        raise ValueError(
-            f"checkpoint expects {ac.obs_dim()}-dim observations, env has {env.observation_dim}"
-        )
-    if ac.head != _head_for(env.action_space):
-        raise ValueError(f"checkpoint head {ac.head} does not match the env's action space {env.action_space}")
 
 
 # ---- output files ----------------------------------------------------------
@@ -159,9 +145,11 @@ def load_checkpoint(path: str | Path) -> tuple[ActorCritic, dict]:
         n_params = sum(e.size for e in layout)
         if len(raw) - off != 4 + 8 * n_params:
             raise ValueError(f"its sizes need {n_params} parameters, it holds {max(len(raw) - off - 4, 0) // 8}")
-        ac = ActorCritic(actor_spec, critic_spec, head, nn.params_from_bytes(raw[off:], layout),
-                         header.get("obs_scale"))
-    except (TypeError, ValueError) as err:  # an obs_scale or a size that does not fit
+        params = nn.params_from_bytes(raw[off:], layout)
+        if not np.isfinite(params.data).all():
+            raise ValueError("its parameters hold NaN or infinite values")
+        ac = ActorCritic(actor_spec, critic_spec, head, params, header.get("obs_scale"))
+    except (TypeError, ValueError) as err:  # an obs_scale, a size or a value that does not fit
         raise ValueError(f"{path}: bad checkpoint: {err}") from None
     return ac, header
 
@@ -249,8 +237,8 @@ def train(config: RunConfig) -> TrainResult:
                 rows.append(_metrics_row(update, global_step, k, bd, dm))
             if config.checkpoint_every and update % config.checkpoint_every == 0:
                 save_checkpoint(out_dir / f"checkpoint_{update:05d}.bin", ac, config.env_id, config.algo)
-    except NumericalError as err:
-        failure = err
+    except NumericalError as err:  # raised below and written to failure.txt as one text
+        failure = NumericalError(f"training stopped after update {update}: {err}")
 
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -258,9 +246,7 @@ def train(config: RunConfig) -> TrainResult:
         writer.writerows(rows)
     save_checkpoint(final_path, ac, config.env_id, config.algo)
     if failure is not None:
-        (out_dir / "failure.txt").write_text(
-            f"training stopped after update {update}: {failure}\n", encoding="utf-8"
-        )
+        (out_dir / "failure.txt").write_text(f"{failure}\n", encoding="utf-8")
         raise failure
     return TrainResult(out_dir, final_path, metrics_path, config_path, update, ac)
 
@@ -295,8 +281,6 @@ def evaluate(
     checkpoint_path = Path(checkpoint_path)
     ac, header = load_checkpoint(checkpoint_path)
     env_id = env_id or header["env_id"]
-    validate_compatible(ac, make_env(env_id))
-
     report = stats.evaluate_policy(env_id, ac, n_episodes, seed_base, deterministic)
 
     out_dir = checkpoint_path.parent if out_dir is None else Path(out_dir)

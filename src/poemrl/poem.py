@@ -147,32 +147,30 @@ def mutate_and_select(
 
     `logps` are the d_post probe's log-probs under the current and the EMA
     policy. The incumbent is scored from them and one critic pass; each
-    candidate costs one actor pass on a parameter copy, plus a critic pass
-    when the critic is mutated too."""
+    candidate is an ActorCritic on a perturbed parameter copy and costs one
+    actor pass, plus a critic pass when the critic is mutated too."""
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     lp_cur, lp_ref = logps if logps is not None else _logp_pair(ac, ema_policy_params, mb)
-    # a zero-weighted entropy is left out of the score, so it costs no actor pass
-    scored = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg, logp=lp_cur, ema_logp=lp_ref,
-                        entropy=None if ppo_cfg.alpha_ent else np.nan)
+    scored = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg, logp=lp_cur, ema_logp=lp_ref)
     incumbent = scored.l_total
     critic_mutated = poem_cfg.mutate_scope == "actor_and_critic"
     scope = slice(0, len(ac.params)) if critic_mutated else ac.policy_slice
 
-    best_data = None
+    best = None
     best_loss = np.inf
     for _ in range(poem_cfg.n_candidates):
-        noise = sigma * rng.standard_normal(scope.stop - scope.start)
         data = ac.params.data.copy()
-        data[scope] += noise
-        loss = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg, params=data, ema_logp=lp_ref,
+        data[scope] += sigma * rng.standard_normal(scope.stop - scope.start)
+        candidate = ac.with_params(data)
+        loss = total_loss(candidate, ema_policy_params, mb, ppo_cfg, poem_cfg, ema_logp=lp_ref,
                           l_vf=None if critic_mutated else scored.l_vf).l_total
         if not np.isfinite(loss):
             continue  # disqualified; the incumbent is never at risk
         if loss < best_loss:
-            best_data, best_loss = data, loss
+            best, best_loss = candidate, loss
 
-    accepted = best_data is not None and best_loss < incumbent
+    accepted = best is not None and best_loss < incumbent
     metrics = DiversityMetrics(
         d_post=d_post,
         sigma_used=float(sigma),
@@ -181,7 +179,7 @@ def mutate_and_select(
         l_total_before=incumbent,
         l_total_after=best_loss if accepted else incumbent,
     )
-    return (ac.with_params(best_data) if accepted else ac), metrics
+    return (best if accepted else ac), metrics
 
 
 def poem_update(

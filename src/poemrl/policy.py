@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import LOG_2PI, NumericalError, Tensor
+from .envs import ContinuousSpace
 from .nn import LayoutEntry, MlpSpec, ParamVector
 
 LOG_STD_MIN = -20.0
@@ -109,6 +110,11 @@ class ActorCritic:
         return self.actor_spec.layer_sizes[0]
 
 
+def head_for(space) -> DiagGaussianHead | CategoricalHead:
+    """The policy head that acts in an env's action space."""
+    return DiagGaussianHead(space.dim) if isinstance(space, ContinuousSpace) else CategoricalHead(space.n)
+
+
 def param_layout(
     obs_dim: int, head: DiagGaussianHead | CategoricalHead, hidden_sizes: tuple[int, ...]
 ) -> tuple[MlpSpec, MlpSpec, tuple[LayoutEntry, ...]]:
@@ -195,10 +201,9 @@ def value(ac: ActorCritic, obs) -> float:
 # ---- vectorized plain-numpy paths (collection, evaluation, KL probes) ----
 
 
-def values_batch(ac: ActorCritic, obs: np.ndarray, params: np.ndarray | None = None) -> np.ndarray:
-    """V(s_i), optionally under a replacement for the whole parameter vector."""
-    layers = ac.critic_layers if params is None else nn.layer_views(ac.critic_spec, params, ac.n_policy)
-    return nn.forward_batch(layers, _features(ac, obs))[:, 0]
+def values_batch(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
+    """V(s_i) for an (n, obs_dim) batch."""
+    return nn.forward_batch(ac.critic_layers, _features(ac, obs))[:, 0]
 
 
 def logp_batch(

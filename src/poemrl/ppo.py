@@ -160,24 +160,23 @@ def evaluate_loss(
     lambda_div: float = 0.0,
     ema_policy_params: np.ndarray | None = None,
     *,
-    params: np.ndarray | None = None,
     logp: np.ndarray | None = None,
     ema_logp: np.ndarray | None = None,
     l_vf: float | None = None,
-    entropy: float | None = None,
 ) -> LossBreakdown:
     """Loss values only: the numpy value path, used to score mutation
     candidates. `loss_graph` is the gradient path; this adds the same terms
     in the same order, so for a Gaussian head the two agree bit for bit
     (a categorical head's log-softmax rounds differently, within 1e-12).
 
-    `params` replaces `ac`'s parameter vector. `logp`, `ema_logp` and
-    `l_vf` stand in for the forward passes that would compute them; the
-    actor pass that computes `logp` also gives the entropy, which otherwise
-    is `entropy` or, when that is None, `entropy_mean`'s."""
+    `logp`, `ema_logp` and `l_vf` stand in for the forward passes that
+    would compute them. The actor pass that computes `logp` also gives the
+    entropy; given `logp`, the entropy is computed only when alpha_ent
+    weights it, and reported as NaN otherwise."""
     if logp is None:
-        policy = None if params is None else params[: ac.n_policy]
-        logp, entropy = pol.logp_batch(ac, mb.obs, mb.actions, policy, with_entropy=True)
+        logp, ent = pol.logp_batch(ac, mb.obs, mb.actions, with_entropy=True)
+    else:
+        ent = pol.entropy_mean(ac, mb.obs) if cfg.alpha_ent != 0.0 else np.nan
     l_ppo = clipped_surrogate(logp, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
     loss = l_ppo
 
@@ -191,11 +190,10 @@ def evaluate_loss(
         loss = loss + kl_val * -lambda_div
 
     if l_vf is None:
-        l_vf = value_loss(pol.values_batch(ac, mb.obs, params), mb.returns)
+        l_vf = value_loss(pol.values_batch(ac, mb.obs), mb.returns)
     if cfg.alpha_vf != 0.0:
         loss = loss + l_vf * cfg.alpha_vf
 
-    ent = pol.entropy_mean(ac, mb.obs) if entropy is None else entropy
     if cfg.alpha_ent != 0.0:
         loss = loss + ent * -cfg.alpha_ent
     return LossBreakdown(l_ppo=l_ppo, l_vf=l_vf, entropy=ent, kl_div=kl_val, l_total=loss)

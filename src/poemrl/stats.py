@@ -173,12 +173,11 @@ def evaluate_policy(
 
     seeds = [seed_base + i for i in range(n_episodes)]
     envs = [make() for _ in seeds]
-    for env in envs:
+    for env in envs:  # every env is checked before any is reset
         if env.observation_dim != ac.obs_dim():
-            raise ValueError(
-                f"env observations ({env.observation_dim}) do not match the "
-                f"policy input ({ac.obs_dim()})"
-            )
+            raise ValueError(f"policy expects {ac.obs_dim()}-dim observations, env has {env.observation_dim}")
+        if pol.head_for(env.action_space) != ac.head:
+            raise ValueError(f"policy head {ac.head} does not match the env's action space {env.action_space}")
     obs = np.stack([env.reset(seed=seed) for env, seed in zip(envs, seeds)])
     state = tuple(np.array(values) for values in zip(*(env.state() for env in envs)))
     rngs = None if deterministic else [np.random.default_rng(np.random.SeedSequence(s).spawn(1)[0]) for s in seeds]

@@ -6,11 +6,17 @@ import io
 import json
 import math
 import struct
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poemrl import cli, harness, stats
 from poemrl.config import ALGOS, TUNE_TRIAL_TIMESTEPS, TuneSpec, load_run_config
@@ -188,12 +194,104 @@ class TestCheckpointHeader:
         err = self._evaluate_error(path, capsys)
         assert str(path) in err and "bad checkpoint" in err
 
+    @pytest.mark.parametrize("index", [0, -1], ids=["actor", "critic"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_a_one_line_error(self, tmp_path, capsys, value, index):
+        # the critic's last bias is never read by evaluation, and is refused all the same
+        path = self._checkpoint(tmp_path)
+        ac, _ = load_checkpoint(path)
+        ac.params.data[index] = value
+        save_checkpoint(path, ac, "mountain_car_continuous", "ppo")
+        err = self._evaluate_error(path, capsys)
+        assert err == f"error: {path}: bad checkpoint: its parameters hold NaN or infinite values\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_large_finite_parameters_evaluate(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path)
+        ac, _ = load_checkpoint(path)
+        ac.params.data[:] = 1e300
+        save_checkpoint(path, ac, "mountain_car_continuous", "ppo")
+        assert cli.main(["evaluate", str(path), "--episodes", "1", "--out", str(tmp_path / "eval")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "eval" / "episodes.csv").exists()
+
     def test_header_that_is_not_an_object_is_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
         blob = b"[1, 2]"
         path.write_bytes(harness.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
         with pytest.raises(ValueError, match="lacks env_id"):
             load_checkpoint(path)
+
+
+@lru_cache(maxsize=None)
+def saved_checkpoint(env_id: str) -> bytes:
+    """The bytes of an untrained checkpoint with hidden sizes (4,)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.bin"
+        save_checkpoint(path, harness.build_actor_critic(make_env(env_id), (4,), param_seed=0), env_id, "ppo")
+        return path.read_bytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=16),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.just("header"), st.sampled_from((*harness.CHECKPOINT_KEYS, "obs_scale")), JSON_VALUES),
+    st.tuples(st.just("parameter"), st.integers(0, 10**4),
+              st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.just("flip"), st.integers(0, 10**4), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+def edited_checkpoint(raw: bytes, edits) -> bytes:
+    """Apply each edit in turn: set a header value (while the header still
+    parses), write one float64 over a parameter, xor one byte with a mask,
+    cut the file short, or append bytes."""
+    raw = bytearray(raw)
+    off = len(harness.CHECKPOINT_MAGIC)  # then the header length, the header, the count, the values
+    n_params = (len(raw) - off - 4 - struct.unpack_from("<I", raw, off)[0] - 4) // 8
+    for kind, *args in edits:
+        if kind == "header":
+            try:
+                (hlen,) = struct.unpack_from("<I", raw, off)
+                header = json.loads(raw[off + 4 : off + 4 + hlen])
+                header[args[0]] = args[1]
+            except (struct.error, ValueError, TypeError, IndexError):
+                continue
+            blob = json.dumps(header).encode("utf-8")
+            raw[off:off + 4 + hlen] = struct.pack("<I", len(blob)) + blob
+        elif kind == "parameter" and len(raw) >= 8 * n_params:
+            at = len(raw) - 8 * (1 + args[0] % n_params)
+            raw[at:at + 8] = struct.pack("<d", args[1])
+        elif kind == "flip" and raw:
+            raw[args[0] % len(raw)] ^= args[1]
+        elif kind == "truncate":
+            del raw[args[0] % (len(raw) + 1):]
+        elif kind == "extend":
+            raw += args[0]
+    return bytes(raw)
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True)  # the same 100 files on every run
+    @given(env_id=st.sampled_from(sorted(ENV_REGISTRY)), edits=st.lists(CHECKPOINT_EDITS, min_size=1, max_size=3))
+    def test_edited_checkpoint_evaluates_or_is_one_error_line(self, env_id, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ck.bin"
+            path.write_bytes(edited_checkpoint(saved_checkpoint(env_id), edits))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would be a second line
+                rc = cli.main(["evaluate", str(path), "--episodes", "1", "--out", str(Path(tmp) / "eval")])
+        if rc == 0:
+            assert err.getvalue() == "" and out.getvalue().startswith("episodes: 1 ")
+        else:
+            assert rc == 2
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 class TestTrain:
@@ -560,6 +658,17 @@ class TestCli:
         monkeypatch.setenv("POEMRL_PPO_LEARNING_RATE", "nan")
         err = self._one_line_error(["train", "--out", str(tmp_path / "x")], capsys)
         assert "ppo.learning_rate: expected a finite number, got 'nan'" in err
+
+    def test_cli_numerical_failure_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POEMRL_PPO_LEARNING_RATE", "1e300")
+        out = tmp_path / "d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings would be more lines
+            err = self._one_line_error(
+                ["train", "--env", "mountain_car_continuous", "--timesteps", "2048", "--out", str(out)], capsys)
+        assert "error: training stopped after update 0: update aborted at minibatch 0: " in err
+        assert (out / "failure.txt").read_text() == err.removeprefix("error: ")
+        assert (out / "metrics.csv").exists() and (out / "checkpoint_final.bin").exists()
 
     def test_cli_non_finite_config_value_is_a_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "c.ini"

@@ -5,13 +5,14 @@ episodes must equal episodes played one after another."""
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from poemrl import harness, stats
 from poemrl.autodiff import NumericalError
-from poemrl.envs import ArrayStep, ContinuousSpace, SparseLander, StepResult, make_env
+from poemrl.envs import ArrayStep, ContinuousSpace, DiscreteSpace, SparseLander, StepResult, make_env
 from poemrl.stats import EvalReport, compare_runs, evaluate_policy, regularized_incomplete_beta, welch_t_test
 
 from conftest import make_categorical_ac, make_gaussian_ac
@@ -282,6 +283,12 @@ class StaggeredEnv:
         return ArrayStep((seed, t), obs, reward, done & ~odd, done & odd, {"seed": seed, "t": t})
 
 
+class StaggeredDiscreteEnv(StaggeredEnv):
+    """StaggeredEnv for a 3-way categorical policy."""
+
+    action_space = DiscreteSpace(3)
+
+
 def perturbed(ac, seed):
     ac.params.data[:] += np.random.default_rng(seed).normal(scale=0.5, size=len(ac.params))
     return ac
@@ -290,14 +297,14 @@ def perturbed(ac, seed):
 class TestLockstepEvaluation:
     @pytest.mark.parametrize("n_episodes", [1, 7, 20])
     @pytest.mark.parametrize("deterministic", [True, False], ids=["mode", "sampled"])
-    @pytest.mark.parametrize("make_ac", [
-        lambda: make_gaussian_ac(hidden=(5, 3), seed=1),
-        lambda: make_categorical_ac(n_actions=3, hidden=(7,), seed=2),
+    @pytest.mark.parametrize("make_ac, env", [
+        (lambda: make_gaussian_ac(hidden=(5, 3), seed=1), StaggeredEnv),
+        (lambda: make_categorical_ac(n_actions=3, hidden=(7,), seed=2), StaggeredDiscreteEnv),
     ], ids=["gaussian", "categorical"])
-    def test_staggered_episodes_match_sequential_play(self, make_ac, deterministic, n_episodes):
+    def test_staggered_episodes_match_sequential_play(self, make_ac, env, deterministic, n_episodes):
         ac = perturbed(make_ac(), n_episodes)
-        report = evaluate_policy(StaggeredEnv, ac, n_episodes, seed_base=100, deterministic=deterministic)
-        assert_same_report(report, sequential_evaluate(StaggeredEnv, ac, n_episodes, 100, deterministic))
+        report = evaluate_policy(env, ac, n_episodes, seed_base=100, deterministic=deterministic)
+        assert_same_report(report, sequential_evaluate(env, ac, n_episodes, 100, deterministic))
         seeds = list(range(100, 100 + n_episodes))
         assert report.per_episode_steps.tolist() == [1 + s % 7 for s in seeds]
         assert [len(series) for series in report.step_series] == [1 + s % 7 for s in seeds]
@@ -334,9 +341,20 @@ class TestLockstepEvaluation:
             made.append(env)
             return env
 
-        with pytest.raises(ValueError, match="do not match"):
+        with pytest.raises(ValueError, match="^policy expects 2-dim observations, env has 3$"):
             evaluate_policy(make, make_gaussian_ac(), 5, seed_base=0)
         assert log == []
+
+    @pytest.mark.parametrize("env_id, ac, message", [
+        ("mountain_car_continuous", make_categorical_ac(n_actions=1),
+         "policy head CategoricalHead(n_actions=1) does not match the env's action space "
+         "ContinuousSpace(dim=1, low=-1.0, high=1.0)"),
+        ("sparse_lander", make_gaussian_ac(obs_dim=5, action_dim=4),
+         "policy head DiagGaussianHead(action_dim=4) does not match the env's action space DiscreteSpace(n=4)"),
+    ], ids=["categorical-on-mountain-car", "gaussian-on-lander"])
+    def test_head_mismatch_raises(self, env_id, ac, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_policy(env_id, ac, 3, seed_base=0)
 
     def test_sampled_actions_do_not_reuse_the_env_stream(self):
         # with a uniform 4-way actor the first action is floor(4u) of the action
