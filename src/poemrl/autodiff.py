@@ -10,8 +10,10 @@ Fused ops cover the hot path of a minibatch with one node each: `mlp` (a
 whole network), `diag_gaussian_logp`, `clipped_surrogate`, and the
 `mean_squared_error` and `mean_difference` loss terms. Each hand-written
 backward repeats the floating-point operations of the composition it
-replaces, in the same order, so fused and unfused graphs give
-bit-identical values and gradients.
+replaces, so fused and unfused graphs give bit-identical values and
+gradients. The loss ops also take plain arrays, for scoring off the tape,
+and `gaussian_logp` is the Gaussian log-prob in plain numpy, for the tape
+op and `policy.logp_batch` alike.
 """
 
 from __future__ import annotations
@@ -229,15 +231,21 @@ def mlp(x: np.ndarray, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
     return Tensor(hs[-1], tuple(t for layer in layers for t in layer), backward)
 
 
-def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Tensor:
-    """Per-row log N(actions | mean, diag(exp(log_std))^2), shape (n,).
+def gaussian_logp(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-row log N(actions | mean, diag(exp(log_std))^2), shape (n,), with
+    the `std`, `diff` and `z` that `diag_gaussian_logp`'s VJP reuses.
 
     `mean` is (n, d) and `log_std` is (d,), already clipped if it should be.
     """
-    std = np.exp(log_std.data)
-    diff = actions - mean.data
+    std = np.exp(log_std)
+    diff = actions - mean
     z = diff / std
-    d = log_std.data.size
+    return (z * z).sum(axis=1) * -0.5 + (log_std.sum() * -1.0 + (-0.5 * LOG_2PI * log_std.size)), std, diff, z
+
+
+def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Tensor:
+    """`gaussian_logp` as one node."""
+    logp, std, diff, z = gaussian_logp(mean.data, log_std.data, actions)
 
     def backward(g):
         g_z = (g * -0.5)[:, None] * 2.0 * z
@@ -245,18 +253,15 @@ def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Te
         log_std._accum(g_std * std + g.sum() * -1.0)
         mean._accum(g_z / std * -1.0)
 
-    return Tensor(
-        (z * z).sum(axis=1) * -0.5 + (log_std.data.sum() * -1.0 + (-0.5 * LOG_2PI * d)),
-        (mean, log_std),
-        backward,
-    )
+    return Tensor(logp, (mean, log_std), backward)
 
 
-def clipped_surrogate(logp: Tensor, logp_old: np.ndarray, adv: np.ndarray, clip_epsilon: float) -> Tensor:
+def clipped_surrogate(logp, logp_old: np.ndarray, adv: np.ndarray, clip_epsilon: float) -> Tensor:
     """PPO's -mean(min(r * adv, clip(r, 1 - eps, 1 + eps) * adv)), where
     r = exp(logp - logp_old). On ties the gradient goes to the unclipped
     branch, as in `minimum`; outside the clip interval the clipped branch
     passes none."""
+    logp = _ensure(logp)
     lo, hi = 1.0 - clip_epsilon, 1.0 + clip_epsilon
     ratio = np.exp(logp.data - logp_old)
     inside = (ratio >= lo) & (ratio <= hi)
@@ -273,8 +278,9 @@ def clipped_surrogate(logp: Tensor, logp_old: np.ndarray, adv: np.ndarray, clip_
     return Tensor(np.where(take_unclipped, unclipped, clipped).sum() * scale * -1.0, (logp,), backward)
 
 
-def mean_squared_error(v: Tensor, target: np.ndarray) -> Tensor:
+def mean_squared_error(v, target: np.ndarray) -> Tensor:
     """mean((v - target)^2) for (n,) `v`, as `tmean(square(add(v, -target)))`."""
+    v = _ensure(v)
     d = v.data + -target
     scale = 1.0 / d.size
 
@@ -284,8 +290,9 @@ def mean_squared_error(v: Tensor, target: np.ndarray) -> Tensor:
     return Tensor((d * d).sum() * scale, (v,), backward)
 
 
-def mean_difference(a: Tensor, b: np.ndarray) -> Tensor:
+def mean_difference(a, b: np.ndarray) -> Tensor:
     """mean(a - b) for (n,) `a`, as `tmean(add(a, -b))`."""
+    a = _ensure(a)
     scale = 1.0 / a.data.size
 
     def backward(g):

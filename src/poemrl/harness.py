@@ -321,19 +321,22 @@ def _read_episode_csvs(run_set_dir: str | Path) -> dict[str, list[float]]:
         raise FileNotFoundError(f"no episodes.csv under {run_set_dir}")
     by_env: dict[str, list[float]] = {}
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(EPISODES_COLUMNS) <= set(reader.fieldnames):
-                raise ValueError(f"{path}: missing expected columns {EPISODES_COLUMNS}")
-            env_rewards: dict[str, list[float]] = {}
-            for row in reader:
-                try:
-                    env, reward = row["env"], float(row["total_reward"])
-                except (KeyError, TypeError, ValueError):
-                    raise ValueError(f"{path}: ragged or malformed row {row!r}") from None
-                if not np.isfinite(reward):
-                    raise ValueError(f"{path}: total_reward must be finite, got {row['total_reward']!r}")
-                env_rewards.setdefault(env, []).append(reward)
+        env_rewards: dict[str, list[float]] = {}
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames is None or not set(EPISODES_COLUMNS) <= set(reader.fieldnames):
+                    raise ValueError(f"{path}: missing expected columns {EPISODES_COLUMNS}")
+                for row in reader:
+                    try:
+                        env, reward = row["env"], float(row["total_reward"])
+                    except (KeyError, TypeError, ValueError):
+                        raise ValueError(f"{path}: ragged or malformed row {row!r}") from None
+                    if not np.isfinite(reward):
+                        raise ValueError(f"{path}: total_reward must be finite, got {row['total_reward']!r}")
+                    env_rewards.setdefault(env, []).append(reward)
+        except (csv.Error, UnicodeDecodeError) as err:  # an oversized field, a NUL byte, bad UTF-8
+            raise ValueError(f"{path}: {err}") from None
         if not env_rewards:
             raise ValueError(f"{path}: no evaluation episodes")
         for env, rewards in env_rewards.items():
@@ -361,7 +364,7 @@ def compare(
     rows = []
     for env in sorted(base):
         if len(base[env]) < 2 or len(variant[env]) < 2:
-            raise ValueError(f"need at least 2 runs per side for env {env}")
+            raise ValueError(f"need at least 2 runs per side for env {env!r}")
         rows.append({"env": env, **stats.compare_runs(variant[env], base[env], alpha), "alpha": alpha})
     if out_path is not None:
         with _atomic_open(Path(out_path), "w", newline="", encoding="utf-8") as fh:

@@ -148,12 +148,14 @@ def mutate_and_select(
     `logps` are the d_post probe's log-probs under the current and the EMA
     policy. The incumbent is scored from them and one critic pass; each
     candidate is an ActorCritic on a perturbed parameter copy and costs one
-    actor pass, plus a critic pass when the critic is mutated too."""
+    actor pass, plus a critic pass when the critic is mutated too (else the
+    incumbent's critic values stand in)."""
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
     lp_cur, lp_ref = logps if logps is not None else _logp_pair(ac, ema_policy_params, mb)
-    scored = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg, logp=lp_cur, ema_logp=lp_ref)
-    incumbent = scored.l_total
+    values = pol.values_batch(ac, mb.obs)
+    incumbent = total_loss(ac, ema_policy_params, mb, ppo_cfg, poem_cfg,
+                           logp=lp_cur, ema_logp=lp_ref, values=values).l_total
     critic_mutated = poem_cfg.mutate_scope == "actor_and_critic"
     scope = slice(0, len(ac.params)) if critic_mutated else ac.policy_slice
 
@@ -164,7 +166,7 @@ def mutate_and_select(
         data[scope] += sigma * rng.standard_normal(scope.stop - scope.start)
         candidate = ac.with_params(data)
         loss = total_loss(candidate, ema_policy_params, mb, ppo_cfg, poem_cfg, ema_logp=lp_ref,
-                          l_vf=None if critic_mutated else scored.l_vf).l_total
+                          values=None if critic_mutated else values).l_total
         if not np.isfinite(loss):
             continue  # disqualified; the incumbent is never at risk
         if loss < best_loss:

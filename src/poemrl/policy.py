@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import LOG_2PI, NumericalError, Tensor
+from .autodiff import NumericalError, Tensor
 from .envs import ContinuousSpace
 from .nn import LayoutEntry, MlpSpec, ParamVector
 
@@ -151,9 +151,6 @@ def distribution(ac: ActorCritic, obs) -> DiagGaussian | Categorical:
     current parameters, one row each. The actor runs once on the stacked
     (E, 1, obs_dim) input, so each row rounds exactly as a one-row pass
     would; a 2-D (E, obs_dim) pass would not."""
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim != 2 or obs.shape[1] != ac.obs_dim():
-        raise ValueError(f"obs shape {obs.shape} does not match (E, {ac.obs_dim()})")
     out = _actor_pass(ac, obs)
     if isinstance(ac.head, DiagGaussianHead):
         # np.clip's value, NaN included, without its per-call overhead
@@ -173,7 +170,10 @@ def act(ac: ActorCritic, obs: np.ndarray, rngs: list[np.random.Generator] | None
     return _softmax_rows(out).argmax(axis=1)
 
 
-def _actor_pass(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
+def _actor_pass(ac: ActorCritic, obs) -> np.ndarray:
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.ndim != 2 or obs.shape[1] != ac.obs_dim():
+        raise ValueError(f"obs shape {obs.shape} does not match (E, {ac.obs_dim()})")
     out = nn.forward_batch(ac.actor_layers, _features(ac, obs[:, None, :]))[:, 0]
     if not np.isfinite(out).all():
         raise NumericalError("actor network produced non-finite output")
@@ -223,9 +223,7 @@ def logp_batch(
         layers, log_std = nn.layer_views(ac.actor_spec, flat), flat[ac.actor_spec.n_params : ac.n_policy]
     out = nn.forward_batch(layers, _features(ac, obs))
     if isinstance(ac.head, DiagGaussianHead):
-        clipped = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-        z = (actions - out) / np.exp(clipped)
-        logp = -0.5 * LOG_2PI * ac.head.action_dim - clipped.sum() - 0.5 * (z * z).sum(axis=1)
+        logp = ad.gaussian_logp(out, np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX), actions)[0]
     else:
         logits = out - out.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(logits).sum(axis=1))

@@ -5,10 +5,10 @@ against a reference policy; with lambda_div = 0 that term is skipped
 entirely, so the plain update is bit-identical whether it is invoked
 directly or through the mutation-augmented loop built on top of it.
 
-The composite loss has two paths: `loss_graph` builds it on the tape for
-the one backward pass per minibatch, and `evaluate_loss` computes the same
-values in plain numpy for scoring. Both take means as the tape does (sum
-times 1/n) and add the terms in the same order.
+One function assembles the composite loss from the tape's loss ops:
+`loss_graph` hands it tape Tensors for the one backward pass per
+minibatch, and `evaluate_loss` hands it plain arrays to score mutation
+candidates, so both compute the same number.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ class LossBreakdown:
     l_total: float
 
 
-def _mean(x: np.ndarray) -> float:
-    """Mean as `ad.tmean` computes it: the sum times 1/n."""
-    return float(x.sum() * (1.0 / x.size))
-
-
 def clipped_surrogate(logp_new, logp_old, adv, clip_epsilon: float) -> float:
     """-mean(min(ratio*adv, clip(ratio)*adv)); lower is better."""
     logp_new = np.asarray(logp_new, dtype=np.float64)
@@ -80,9 +75,7 @@ def clipped_surrogate(logp_new, logp_old, adv, clip_epsilon: float) -> float:
     adv = np.asarray(adv, dtype=np.float64)
     if not (logp_new.shape == logp_old.shape == adv.shape) or logp_new.size < 1:
         raise ValueError("logp_new, logp_old, adv must have equal nonzero lengths")
-    ratio = np.exp(logp_new - logp_old)
-    clipped = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon)
-    return -_mean(np.minimum(ratio * adv, clipped * adv))
+    return float(ad.clipped_surrogate(logp_new, logp_old, adv, clip_epsilon).data)
 
 
 def value_loss(values_new, returns) -> float:
@@ -90,8 +83,7 @@ def value_loss(values_new, returns) -> float:
     returns = np.asarray(returns, dtype=np.float64)
     if values_new.shape != returns.shape:
         raise ValueError("values and returns must have equal lengths")
-    d = values_new - returns
-    return _mean(d * d)
+    return float(ad.mean_squared_error(values_new, returns).data)
 
 
 def minibatch_plan(
@@ -108,6 +100,41 @@ def minibatch_plan(
     return plan
 
 
+def _composite(ac: ActorCritic, logp, ent, values, mb: Minibatch, cfg: PpoConfig, lambda_div: float,
+               ema_policy_params: np.ndarray | None, ema_logp=None) -> tuple[Tensor, LossBreakdown]:
+    """The composite loss from the actor's log-probs and mean entropy and the
+    critic's values, as tape Tensors or as plain arrays, and its pieces.
+
+    Every term is built and reported; a zero coefficient only keeps its term
+    out of the sum, so backward never reaches it. The diversity term alone
+    is built only for a nonzero lambda_div, since it needs the reference
+    policy's log-probs, from an actor pass unless `ema_logp` stands in.
+    """
+    l_ppo = ad.clipped_surrogate(logp, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
+    loss = l_ppo
+
+    kl_val = 0.0
+    if lambda_div != 0.0:
+        if ema_policy_params is None:
+            raise ValueError("lambda_div != 0 requires reference policy parameters")
+        if ema_logp is None:
+            # the reference policy is a constant: its log-probs stay off the tape
+            ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params)
+        kl = ad.mean_difference(logp, ema_logp)
+        loss = ad.add(loss, ad.mul(kl, -lambda_div))
+        kl_val = float(kl.data)
+
+    l_vf = ad.mean_squared_error(values, mb.returns)
+    if cfg.alpha_vf != 0.0:
+        loss = ad.add(loss, ad.mul(l_vf, cfg.alpha_vf))
+    if cfg.alpha_ent != 0.0:
+        loss = ad.add(loss, ad.mul(ent, -cfg.alpha_ent))
+
+    entropy = float(getattr(ent, "data", ent))  # a node on the tape, a float (NaN if unweighted) off it
+    return loss, LossBreakdown(l_ppo=float(l_ppo.data), l_vf=float(l_vf.data), entropy=entropy,
+                               kl_div=kl_val, l_total=float(loss.data))
+
+
 def loss_graph(
     ac: ActorCritic,
     leaves: dict[str, Tensor],
@@ -116,41 +143,10 @@ def loss_graph(
     lambda_div: float = 0.0,
     ema_policy_params: np.ndarray | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Build the total loss on the tape and report its pieces.
-
-    Every term is built and reported; a zero coefficient only keeps its term
-    out of the sum, so backward never reaches it. The diversity term alone
-    is built only for a nonzero lambda_div, since it needs the reference
-    policy's actor pass.
-    """
-    logp_t, ent_t = pol.policy_graph(ac, leaves, mb.obs, mb.actions)
-    l_ppo_t = ad.clipped_surrogate(logp_t, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
-    loss = l_ppo_t
-
-    kl_val = 0.0
-    if lambda_div != 0.0:
-        if ema_policy_params is None:
-            raise ValueError("lambda_div != 0 requires reference policy parameters")
-        # the reference policy is a constant: its log-probs stay off the tape
-        ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params)
-        kl_t = ad.mean_difference(logp_t, ema_logp)
-        loss = ad.add(loss, ad.mul(kl_t, -lambda_div))
-        kl_val = float(kl_t.data)
-
-    l_vf_t = ad.mean_squared_error(pol.values_graph(ac, leaves, mb.obs), mb.returns)
-    if cfg.alpha_vf != 0.0:
-        loss = ad.add(loss, ad.mul(l_vf_t, cfg.alpha_vf))
-    if cfg.alpha_ent != 0.0:
-        loss = ad.add(loss, ad.mul(ent_t, -cfg.alpha_ent))
-
-    breakdown = LossBreakdown(
-        l_ppo=float(l_ppo_t.data),
-        l_vf=float(l_vf_t.data),
-        entropy=float(ent_t.data),
-        kl_div=kl_val,
-        l_total=float(loss.data),
-    )
-    return loss, breakdown
+    """Build the total loss on the tape and report its pieces."""
+    logp, ent = pol.policy_graph(ac, leaves, mb.obs, mb.actions)
+    values = pol.values_graph(ac, leaves, mb.obs)
+    return _composite(ac, logp, ent, values, mb, cfg, lambda_div, ema_policy_params)
 
 
 def evaluate_loss(
@@ -162,14 +158,13 @@ def evaluate_loss(
     *,
     logp: np.ndarray | None = None,
     ema_logp: np.ndarray | None = None,
-    l_vf: float | None = None,
+    values: np.ndarray | None = None,
 ) -> LossBreakdown:
-    """Loss values only: the numpy value path, used to score mutation
-    candidates. `loss_graph` is the gradient path; this adds the same terms
-    in the same order, so for a Gaussian head the two agree bit for bit
+    """Loss values only, used to score mutation candidates: `loss_graph`'s
+    loss on plain arrays, so for a Gaussian head the two agree bit for bit
     (a categorical head's log-softmax rounds differently, within 1e-12).
 
-    `logp`, `ema_logp` and `l_vf` stand in for the forward passes that
+    `logp`, `ema_logp` and `values` stand in for the forward passes that
     would compute them. The actor pass that computes `logp` also gives the
     entropy; given `logp`, the entropy is computed only when alpha_ent
     weights it, and reported as NaN otherwise."""
@@ -177,26 +172,9 @@ def evaluate_loss(
         logp, ent = pol.logp_batch(ac, mb.obs, mb.actions, with_entropy=True)
     else:
         ent = pol.entropy_mean(ac, mb.obs) if cfg.alpha_ent != 0.0 else np.nan
-    l_ppo = clipped_surrogate(logp, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
-    loss = l_ppo
-
-    kl_val = 0.0
-    if lambda_div != 0.0:
-        if ema_policy_params is None:
-            raise ValueError("lambda_div != 0 requires reference policy parameters")
-        if ema_logp is None:
-            ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params)
-        kl_val = _mean(logp - ema_logp)
-        loss = loss + kl_val * -lambda_div
-
-    if l_vf is None:
-        l_vf = value_loss(pol.values_batch(ac, mb.obs), mb.returns)
-    if cfg.alpha_vf != 0.0:
-        loss = loss + l_vf * cfg.alpha_vf
-
-    if cfg.alpha_ent != 0.0:
-        loss = loss + ent * -cfg.alpha_ent
-    return LossBreakdown(l_ppo=l_ppo, l_vf=l_vf, entropy=ent, kl_div=kl_val, l_total=loss)
+    if values is None:
+        values = pol.values_batch(ac, mb.obs)
+    return _composite(ac, logp, ent, values, mb, cfg, lambda_div, ema_policy_params, ema_logp)[1]
 
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:

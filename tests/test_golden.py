@@ -10,8 +10,11 @@ stochastic policy, one RNG per episode. A change that alters trajectories
 on purpose updates these digests and says so in CHANGES.md.
 """
 
+import ctypes
 import hashlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poemrl import harness
@@ -100,6 +103,23 @@ SAMPLED_EVAL_SHA256 = {
 }
 
 
+def openblas_build() -> str:
+    """The bundled OpenBLAS's build string, which names the kernel core it
+    picked at run time ("unknown" without that library or symbol). Another
+    core may round a matmul differently, and so change every digest."""
+    try:
+        lib = ctypes.CDLL(str(next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))))
+        get_config = lib.scipy_openblas_get_config64_
+    except (StopIteration, OSError, AttributeError):
+        return "unknown"
+    get_config.restype = ctypes.c_char_p
+    return get_config().decode("ascii", "replace")
+
+
+def mismatch(what) -> str:
+    return f"{what}: digests pinned on OpenBLAS's SkylakeX core; this OpenBLAS: {openblas_build()}"
+
+
 def digests(out, names) -> tuple:
     return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
 
@@ -129,13 +149,13 @@ def run_digests(tmp_path, env, overrides=None) -> dict:
 
 @pytest.mark.parametrize("env", sorted(GOLDEN_SHA256))
 def test_seed_0_poem_run_and_evaluation_keep_their_bytes(tmp_path, env):
-    assert run_digests(tmp_path, env) == dict(zip(GOLDEN_FILES, GOLDEN_SHA256[env]))
+    assert run_digests(tmp_path, env) == dict(zip(GOLDEN_FILES, GOLDEN_SHA256[env])), mismatch(env)
 
 
 @pytest.mark.parametrize("case", sorted(VARIANT_SHA256), ids=lambda c: f"{c[0]}-{c[1][1]}={c[2]}")
 def test_variant_scoring_paths_keep_their_bytes(tmp_path, case):
     env, key, value = case
-    assert run_digests(tmp_path, env, {key: value}) == dict(zip(GOLDEN_FILES, VARIANT_SHA256[case]))
+    assert run_digests(tmp_path, env, {key: value}) == dict(zip(GOLDEN_FILES, VARIANT_SHA256[case])), mismatch(case)
 
 
 @pytest.mark.parametrize("env", sorted(SAMPLED_EVAL_SHA256))
@@ -143,4 +163,14 @@ def test_sampled_evaluation_keeps_its_bytes(tmp_path, env):
     result = train_run(tmp_path, env)
     out = tmp_path / env / "sampled"
     harness.evaluate(result.checkpoint_path, n_episodes=3, seed_base=10_000, deterministic=False, out_dir=out)
-    assert digests(out, ("episodes.csv", "steps.csv")) == SAMPLED_EVAL_SHA256[env]
+    assert digests(out, ("episodes.csv", "steps.csv")) == SAMPLED_EVAL_SHA256[env], mismatch(env)
+
+
+def test_failure_message_names_the_openblas_core(monkeypatch):
+    assert openblas_build().startswith("OpenBLAS ") or openblas_build() == "unknown"
+
+    def missing(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", missing)
+    assert mismatch("sparse_lander").endswith("; this OpenBLAS: unknown")

@@ -294,6 +294,63 @@ class TestCheckpointFuzz:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
+EPISODES_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**4), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("cut_row"), st.integers(0, 10), st.integers(0, 6)),
+    st.tuples(st.just("field"), st.integers(0, 10), st.integers(0, 6),
+              st.sampled_from(["<oversized>", "\0", "1\0", ""]) | st.text(max_size=8)),
+    st.tuples(st.just("reward"), st.integers(0, 10), st.floats()),
+)
+
+
+def edited_episodes(raw: bytes, edits) -> bytes:
+    """Apply each edit in turn: xor one byte with a mask, cut the file short,
+    cut a row (the header is row 0) after some fields, set one field (to
+    131,073 characters for "<oversized>"), or set a row's total_reward to a
+    float's repr."""
+    raw = bytearray(raw)
+    for kind, *args in edits:
+        if kind == "flip" and raw:
+            raw[args[0] % len(raw)] ^= args[1]
+        elif kind == "truncate":
+            del raw[args[0] % (len(raw) + 1):]
+        elif kind in ("cut_row", "field", "reward"):
+            lines = bytes(raw).split(b"\r\n")
+            row = lines[args[0] % len(lines)].split(b",")
+            if kind == "cut_row":
+                del row[args[1]:]
+            elif kind == "field":
+                row[args[1] % len(row)] = ("1" * 131_073 if args[2] == "<oversized>" else args[2]).encode("utf-8")
+            elif len(row) > 5:
+                row[5] = repr(args[1]).encode("ascii")
+            lines[args[0] % len(lines)] = b",".join(row)
+            raw = bytearray(b"\r\n".join(lines))
+    return bytes(raw)
+
+
+class TestCompareFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True)  # the same 100 run sets on every run
+    @given(edits=st.lists(st.tuples(st.integers(0, 3), EPISODES_EDITS), min_size=1, max_size=3))
+    def test_edited_episodes_compare_or_are_one_error_line(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            sets = (Path(tmp) / "ppo", Path(tmp) / "poem")
+            synthetic_run_set(sets[0], "ppo", "sparse_lander", [1.0, 2.0])
+            synthetic_run_set(sets[1], "poem", "sparse_lander", [1.5, 2.5])
+            paths = [run_set / f"seed_{i}" / "episodes.csv" for run_set in sets for i in range(2)]
+            for index, edit in edits:
+                paths[index].write_bytes(edited_episodes(paths[index].read_bytes(), [edit]))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would be a second line
+                rc = cli.main(["compare", str(sets[0]), str(sets[1])])
+        if rc == 0:
+            assert err.getvalue() == "" and out.getvalue().startswith("env ")
+        else:
+            assert rc == 2
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
 class TestTrain:
     def test_budget_of_one_rollout_is_one_update(self, tmp_path):
         cfg = tiny_config(tmp_path, extra={("run", "total_timesteps"): "128"})
@@ -733,6 +790,25 @@ class TestCli:
         synthetic_run_set(set_b, "poem", "sparse_lander", [1.5, float(reward), 3.0])
         err = self._one_line_error(["compare", str(set_a), str(set_b)], capsys)
         assert f"{set_b / 'seed_1' / 'episodes.csv'}: total_reward must be finite, got {reward!r}" in err
+
+    def test_cli_compare_oversized_field_is_a_one_line_error(self, tmp_path, capsys):
+        # csv refuses a field longer than its 131,072-character limit
+        set_a, set_b = tmp_path / "a", tmp_path / "b"
+        synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0, 2.0, 3.0])
+        synthetic_run_set(set_b, "poem", "sparse_lander", [1.5, 2.5, 3.0])
+        path = set_b / "seed_1" / "episodes.csv"
+        with open(path, "a", newline="") as fh:
+            fh.write("poem,sparse_lander,seed_1,4,104," + "1" * 131_073 + ",10\r\n")
+        err = self._one_line_error(["compare", str(set_a), str(set_b)], capsys)
+        assert err.startswith(f"error: {path}: field larger than field limit")
+
+    def test_cli_compare_env_name_with_a_newline_is_a_one_line_error(self, tmp_path, capsys):
+        # a quoted csv field may hold a newline; the error quotes the name
+        set_a, set_b = tmp_path / "a", tmp_path / "b"
+        synthetic_run_set(set_a, "ppo", "mars\nlander", [1.0])
+        synthetic_run_set(set_b, "poem", "mars\nlander", [1.5])
+        err = self._one_line_error(["compare", str(set_a), str(set_b)], capsys)
+        assert err == "error: need at least 2 runs per side for env 'mars\\nlander'\n"
 
     @pytest.mark.parametrize("env", sorted(TUNE_TRIAL_TIMESTEPS))
     def test_tune_budget_is_the_same_from_python_and_the_cli(self, tmp_path, monkeypatch, env):

@@ -2,6 +2,7 @@
 agreement with quadrature / Monte-Carlo / finite-difference oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ class TestSample:
         obs = rng.normal(size=(3, 2))
         assert np.array_equal(pol.act(g, obs), pol.distribution(g, obs).mean)
         assert pol.act(c, obs).tolist() == [int(np.argmax(row)) for row in pol.distribution(c, obs).probs]
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,), (1, 1, 2)])
+    @pytest.mark.parametrize("make_ac", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_obs_of_the_wrong_shape_is_refused_on_every_path(self, make_ac, shape):
+        # an (E, 1) batch on a 2-dim policy would broadcast against both input weights
+        ac = make_ac()
+        obs = np.full(shape, 0.5)
+        rngs = [np.random.default_rng(0) for _ in obs]
+        for call in (lambda: pol.act(ac, obs), lambda: pol.act(ac, obs, rngs), lambda: pol.distribution(ac, obs)):
+            with pytest.raises(ValueError, match=re.escape(f"obs shape {shape} does not match (E, 2)")):
+                call()
 
     def test_floor_guarded_std_collapses_to_mean(self):
         ac = make_gaussian_ac()
