@@ -7,13 +7,15 @@ order. Only the ops needed by the policy-gradient losses are implemented;
 everything is double precision.
 
 Fused ops cover the hot path of a minibatch with one node each: `mlp` (a
-whole network), `diag_gaussian_logp`, `clipped_surrogate`, and the
-`mean_squared_error` and `mean_difference` loss terms. Each hand-written
-backward repeats the floating-point operations of the composition it
-replaces, so fused and unfused graphs give bit-identical values and
-gradients. The loss ops also take plain arrays, for scoring off the tape,
-and `gaussian_logp` is the Gaussian log-prob in plain numpy, for the tape
-op and `policy.logp_batch` alike.
+whole network), `diag_gaussian_logp`, `log_softmax_rows`, `mean_entropy`,
+`clipped_surrogate`, and the `mean_squared_error` and `mean_difference`
+loss terms. The backward of `mlp`, `diag_gaussian_logp` and the loss terms
+repeats the floating-point operations of the composition it replaces, so
+fused and unfused graphs give bit-identical values and gradients. The loss
+ops also take plain arrays, for scoring off the tape. The log-prob and
+entropy nodes run plain-numpy functions that `policy.logp_batch` calls
+too: `gaussian_logp`, and the categorical `log_softmax` and
+`categorical_entropy`.
 """
 
 from __future__ import annotations
@@ -126,25 +128,6 @@ def mul(a, b) -> Tensor:
 # ---- elementwise functions ---------------------------------------------
 
 
-def exp(a) -> Tensor:
-    a = _ensure(a)
-    y = np.exp(a.data)
-
-    def backward(g):
-        a._accum(g * y)
-
-    return Tensor(y, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _ensure(a)
-
-    def backward(g):
-        a._accum(g / a.data)
-
-    return Tensor(np.log(a.data), (a,), backward)
-
-
 def square(a) -> Tensor:
     a = _ensure(a)
 
@@ -198,14 +181,6 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
     return Tensor(a.data[rows, index], (a,), backward)
 
 
-def logsumexp_rows(a) -> Tensor:
-    """Row-wise log-sum-exp, shape (n, k) -> (n, 1); max-shifted for stability."""
-    a = _ensure(a)
-    m = a.data.max(axis=1, keepdims=True)  # constant shift, exact gradient anyway
-    shifted = add(a, constant(-m))
-    return add(log(tsum(exp(shifted), axis=1, keepdims=True)), constant(m))
-
-
 # ---- fused ops ------------------------------------------------------------
 
 
@@ -254,6 +229,38 @@ def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Te
         mean._accum(g_z / std * -1.0)
 
     return Tensor(logp, (mean, log_std), backward)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of (n, k) logits: z - log(sum(exp(z))), with z
+    the logits less their row's max, so no exp overflows."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def log_softmax_rows(logits: Tensor) -> Tensor:
+    """`log_softmax` as one node."""
+    y = log_softmax(logits.data)
+
+    def backward(g):
+        logits._accum(g - np.exp(y) * g.sum(axis=1, keepdims=True))
+
+    return Tensor(y, (logits,), backward)
+
+
+def categorical_entropy(log_p: np.ndarray) -> float:
+    """-mean_i sum_j p_ij log p_ij for (n, k) log-probs, with p = exp(log_p)."""
+    return float(-(np.exp(log_p) * log_p).sum(axis=1).mean())
+
+
+def mean_entropy(log_p: Tensor) -> Tensor:
+    """`categorical_entropy` as one node."""
+    scale = -1.0 / log_p.data.shape[0]
+
+    def backward(g):
+        log_p._accum((g * scale) * np.exp(log_p.data) * (log_p.data + 1.0))
+
+    return Tensor(categorical_entropy(log_p.data), (log_p,), backward)
 
 
 def clipped_surrogate(logp, logp_old: np.ndarray, adv: np.ndarray, clip_epsilon: float) -> Tensor:

@@ -10,6 +10,7 @@ processes.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 import struct
@@ -257,11 +258,25 @@ def _train_worker(config: RunConfig) -> TrainResult:
     return replace(result, final_ac=None)
 
 
+def _one_blas_thread() -> None:
+    """Limit numpy's bundled OpenBLAS to one thread in this process, so
+    parallel runs do not spin a second thread each on a shared core; a no-op
+    without that library or its setter."""
+    try:
+        lib = ctypes.CDLL(str(next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))))
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
 def run_many(configs: list[RunConfig], jobs: int = 1) -> list[TrainResult]:
-    """Train independent seeded runs, optionally in parallel processes."""
+    """Train independent seeded runs, optionally in parallel processes, each
+    worker with one BLAS thread."""
     if jobs <= 1 or len(configs) == 1:
         return [train(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(configs)), initializer=_one_blas_thread) as pool:
         return list(pool.map(_train_worker, configs))
 
 
@@ -340,7 +355,11 @@ def _read_episode_csvs(run_set_dir: str | Path) -> dict[str, list[float]]:
         if not env_rewards:
             raise ValueError(f"{path}: no evaluation episodes")
         for env, rewards in env_rewards.items():
-            by_env.setdefault(env, []).append(float(np.mean(rewards)))
+            with np.errstate(over="ignore"):  # finite rewards whose sum overflows are raised below
+                mean = float(np.mean(rewards))
+            if not np.isfinite(mean):
+                raise ValueError(f"{path}: the mean total_reward of env {env!r} overflows to {mean}")
+            by_env.setdefault(env, []).append(mean)
     return by_env
 
 
@@ -365,7 +384,10 @@ def compare(
     for env in sorted(base):
         if len(base[env]) < 2 or len(variant[env]) < 2:
             raise ValueError(f"need at least 2 runs per side for env {env!r}")
-        rows.append({"env": env, **stats.compare_runs(variant[env], base[env], alpha), "alpha": alpha})
+        try:
+            rows.append({"env": env, **stats.compare_runs(variant[env], base[env], alpha), "alpha": alpha})
+        except ValueError as err:
+            raise ValueError(f"env {env!r}: {err}") from None
     if out_path is not None:
         with _atomic_open(Path(out_path), "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -225,24 +225,23 @@ def logp_batch(
     if isinstance(ac.head, DiagGaussianHead):
         logp = ad.gaussian_logp(out, np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX), actions)[0]
     else:
-        logits = out - out.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(logits).sum(axis=1))
-        logp = logits[np.arange(len(actions)), actions] - log_z
+        out = ad.log_softmax(out)  # every action's log-prob, which the entropy reads too
+        logp = out[np.arange(len(actions)), actions]
     return (logp, _entropy(ac, out, log_std)) if with_entropy else logp
 
 
-def _entropy(ac: ActorCritic, out: np.ndarray | None, log_std: np.ndarray) -> float:
+def _entropy(ac: ActorCritic, log_p: np.ndarray | None, log_std: np.ndarray) -> float:
     if isinstance(ac.head, DiagGaussianHead):
         # summed as policy_graph does, so the two agree bit for bit
         return float(np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX).sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
-    probs = _softmax_rows(out)
-    return float(-(probs * np.log(np.maximum(probs, 1e-300))).sum(axis=1).mean())
+    return ad.categorical_entropy(log_p)
 
 
 def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
     """Mean per-state policy entropy over a batch of observations."""
-    gaussian = isinstance(ac.head, DiagGaussianHead)
-    return _entropy(ac, None if gaussian else nn.forward_batch(ac.actor_layers, _features(ac, obs)), ac.log_std)
+    if isinstance(ac.head, DiagGaussianHead):
+        return _entropy(ac, None, ac.log_std)
+    return _entropy(ac, ad.log_softmax(nn.forward_batch(ac.actor_layers, _features(ac, obs))), ac.log_std)
 
 
 # ---- tape paths (differentiable, for the update step) --------------------
@@ -258,14 +257,8 @@ def policy_graph(
         logp = ad.diag_gaussian_logp(out, log_std, actions)
         ent = ad.add(ad.tsum(log_std), ad.constant(GAUSSIAN_ENTROPY_CONST * ac.head.action_dim))
         return logp, ent
-    log_all = ad.add(out, ad.mul(ad.logsumexp_rows(out), -1.0))
-    # log_all's three consumers are made in this order so that backward adds
-    # their gradients as a depth-first walk of the loss would: gather first
-    p_log_p = ad.mul(ad.exp(log_all), log_all)
-    logp = ad.gather_rows(log_all, actions)
-    # H = -sum p log p, averaged over the batch
-    ent = ad.mul(ad.tmean(ad.tsum(p_log_p, axis=1)), -1.0)
-    return logp, ent
+    log_all = ad.log_softmax_rows(out)
+    return ad.gather_rows(log_all, actions), ad.mean_entropy(log_all)
 
 
 def values_graph(ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray) -> Tensor:

@@ -161,8 +161,7 @@ def evaluate_loss(
     values: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Loss values only, used to score mutation candidates: `loss_graph`'s
-    loss on plain arrays, so for a Gaussian head the two agree bit for bit
-    (a categorical head's log-softmax rounds differently, within 1e-12).
+    loss on plain arrays, so the two agree bit for bit.
 
     `logp`, `ema_logp` and `values` stand in for the forward passes that
     would compute them. The actor pass that computes `logp` also gives the

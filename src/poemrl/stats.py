@@ -95,6 +95,7 @@ class TTestResult:
     n_b: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised below as a non-finite statistic
 def welch_t_test(a, b) -> TTestResult:
     """Two-sample location test without the equal-variance assumption;
     two-tailed p, Welch-Satterthwaite degrees of freedom."""
@@ -109,6 +110,8 @@ def welch_t_test(a, b) -> TTestResult:
     se = math.sqrt(sa + sb)
     t = (a.mean() - b.mean()) / se
     dof = (sa + sb) ** 2 / (sa * sa / (len(a) - 1) + sb * sb / (len(b) - 1))
+    if not (math.isfinite(t) and math.isfinite(dof)):
+        raise ValueError("the Welch statistic is not finite")
     return TTestResult(
         t_statistic=float(t),
         p_value=student_t_two_tailed_p(float(t), float(dof)),

@@ -2,15 +2,17 @@
 
 The fused `mlp`, `diag_gaussian_logp`, `clipped_surrogate`,
 `mean_squared_error` and `mean_difference` ops are checked bit for bit
-against the compositions they replaced; these are the ops of those
-compositions that the library itself no longer needs. Each keeps its own
-finite-difference check in test_autodiff.py. `dfs_backward` is the
-depth-first walk that `Tensor.backward` replaced, kept as its reference.
+against the compositions they replaced, and the `log_softmax_rows` and
+`mean_entropy` nodes against their elementwise compositions to within
+rounding; these are the ops of those compositions that the library itself
+no longer needs. Each keeps its own finite-difference check in
+test_autodiff.py. `dfs_backward` is the depth-first walk that
+`Tensor.backward` replaced, kept as its reference.
 """
 
 import numpy as np
 
-from poemrl.autodiff import Tensor, _ensure, _unbroadcast
+from poemrl.autodiff import Tensor, _ensure, _unbroadcast, add, constant, tsum
 
 
 def dfs_backward(root: Tensor) -> None:
@@ -103,3 +105,30 @@ def minimum(a, b) -> Tensor:
 
     out._backward = backward
     return out
+
+
+def exp(a) -> Tensor:
+    a = _ensure(a)
+    y = np.exp(a.data)
+
+    def backward(g):
+        a._accum(g * y)
+
+    return Tensor(y, (a,), backward)
+
+
+def log(a) -> Tensor:
+    a = _ensure(a)
+
+    def backward(g):
+        a._accum(g / a.data)
+
+    return Tensor(np.log(a.data), (a,), backward)
+
+
+def logsumexp_rows(a) -> Tensor:
+    """Row-wise log-sum-exp, shape (n, k) -> (n, 1); max-shifted for stability."""
+    a = _ensure(a)
+    m = a.data.max(axis=1, keepdims=True)  # constant shift, exact gradient anyway
+    shifted = add(a, constant(-m))
+    return add(log(tsum(exp(shifted), axis=1, keepdims=True)), constant(m))

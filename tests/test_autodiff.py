@@ -1,11 +1,17 @@
 """Tape engine checks: every op against the finite-difference oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poemrl import autodiff as ad
+from poemrl import nn
+from poemrl import policy as pol
 from poemrl.autodiff import Tensor
-from poemrl.policy import LOG_STD_MAX, LOG_STD_MIN
+from poemrl.policy import LOG_STD_MAX, LOG_STD_MIN, ActorCritic, CategoricalHead
 
 import tape_ops as ops
 from conftest import central_diff, max_rel_err
@@ -29,8 +35,8 @@ def fd_of(build, x0, shape):
 CASES = [
     ("add_mul", lambda t: ad.tsum(ad.mul(ad.add(t, 2.0), t))),
     ("div", lambda t: ad.tsum(ops.div(1.0, ad.add(ad.square(t), 1.0)))),
-    ("tanh_exp", lambda t: ad.tsum(ad.exp(ops.tanh(t)))),
-    ("log", lambda t: ad.tsum(ad.log(ad.add(ad.square(t), 0.5)))),
+    ("tanh_exp", lambda t: ad.tsum(ops.exp(ops.tanh(t)))),
+    ("log", lambda t: ad.tsum(ops.log(ad.add(ad.square(t), 0.5)))),
     ("mean_axis", lambda t: ad.tsum(ad.tmean(ad.square(t), axis=0))),
     ("clip", lambda t: ad.tsum(ad.square(ad.clip(t, -0.5, 0.5)))),
     ("minimum", lambda t: ad.tsum(ops.minimum(t, ad.square(t)))),
@@ -87,7 +93,7 @@ def test_gather_rows_routes_gradient():
 def test_logsumexp_matches_softmax_gradient(rng):
     x0 = rng.normal(size=(4, 3)) * 5
     t = Tensor(x0)
-    out = ad.tsum(ad.logsumexp_rows(t))
+    out = ad.tsum(ops.logsumexp_rows(t))
     np_lse = np.log(np.exp(x0 - x0.max(1, keepdims=True)).sum(1, keepdims=True)) + x0.max(
         1, keepdims=True
     )
@@ -135,7 +141,7 @@ def linear_ref(x, w, b):
 
 def gaussian_logp_ref(mean, log_std, actions):
     d = log_std.data.size
-    z = ops.div(ad.add(ad.constant(actions), ad.mul(mean, -1.0)), ad.exp(log_std))
+    z = ops.div(ad.add(ad.constant(actions), ad.mul(mean, -1.0)), ops.exp(log_std))
     return ad.add(
         ad.mul(ad.tsum(ad.square(z), axis=1), -0.5),
         ad.add(ad.mul(ad.tsum(log_std), -1.0), ad.constant(-0.5 * ad.LOG_2PI * d)),
@@ -143,7 +149,7 @@ def gaussian_logp_ref(mean, log_std, actions):
 
 
 def clipped_surrogate_ref(logp, logp_old, adv, clip_epsilon):
-    ratio = ad.exp(ad.add(logp, ad.constant(-logp_old)))
+    ratio = ops.exp(ad.add(logp, ad.constant(-logp_old)))
     a = ad.constant(adv)
     surrogate = ops.minimum(
         ad.mul(ratio, a), ad.mul(ad.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon), a)
@@ -296,6 +302,76 @@ def test_mean_difference_matches_its_composition(rng):
         return ad.tmean(ad.add(a, ad.constant(-b)))
 
     assert_fused_matches(lambda a: ad.mean_difference(a, b), ref, [rng.normal(size=11)], np.array(0.3))
+
+
+# ---- the categorical log-softmax and entropy nodes ----------------------------
+#
+# Each node's backward is the analytic VJP, not a replay of the elementwise
+# composition it replaced, so the two agree to within rounding.
+
+
+def log_softmax_ref(t):
+    return ad.add(t, ad.mul(ops.logsumexp_rows(t), -1.0))
+
+
+def mean_entropy_ref(log_p):
+    return ad.mul(ad.tmean(ad.tsum(ad.mul(ops.exp(log_p), log_p), axis=1)), -1.0)
+
+
+def assert_matches_to_rounding(node, ref, x, weights):
+    (v, (g,)), (v_ref, (g_ref,)) = value_and_grads(node, [x], weights), value_and_grads(ref, [x], weights)
+    assert np.allclose(v, v_ref, rtol=1e-13, atol=1e-14)
+    assert np.allclose(g, g_ref, rtol=1e-12, atol=1e-14)
+
+    def build(t):
+        return ad.tsum(ad.mul(node(t), weights))
+
+    assert max_rel_err(grad_of(build, x), fd_of(build, x, x.shape)) < 1e-6
+
+
+def test_log_softmax_rows_matches_its_composition(rng):
+    x = rng.normal(scale=3.0, size=(5, 4))
+    assert_matches_to_rounding(ad.log_softmax_rows, log_softmax_ref, x, rng.normal(size=(5, 4)))
+
+
+def test_mean_entropy_matches_its_composition(rng):
+    log_p = ad.log_softmax(rng.normal(scale=3.0, size=(5, 4)))
+    assert_matches_to_rounding(ad.mean_entropy, mean_entropy_ref, log_p, np.array(1.3))
+
+
+@st.composite
+def logit_batches(draw):
+    """(n, k) logits: rows with ties, rows all equal, rows spread up to 1e3."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    unit = st.sampled_from([-1.0, -0.5, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+    return np.array([
+        draw(st.floats(-50.0, 50.0))
+        + draw(st.sampled_from([0.0, 1.0, 30.0, 1e3])) * np.array(draw(st.lists(unit, min_size=k, max_size=k)))
+        for _ in range(n)
+    ])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(logits=logit_batches())
+def test_categorical_nodes_on_tied_and_spread_rows(logits):
+    n, k = logits.shape
+    rng = np.random.default_rng(10 * n + k)
+    weights = rng.normal(size=(n, k))
+    log_p = ad.log_softmax(logits)
+    for build, x in ((lambda t: ad.tsum(ad.mul(ad.log_softmax_rows(t), weights)), logits),
+                     (lambda t: ad.mul(ad.mean_entropy(t), 1.7), log_p)):
+        # absolute slack for the rounding of logits near 1e3 in the differences
+        assert np.allclose(grad_of(build, x), fd_of(build, x, x.shape), rtol=1e-5, atol=1e-5)
+    assert 0.0 <= ad.categorical_entropy(log_p) <= math.log(k) + 1e-12
+    # an identity linear actor puts the logits out as its output
+    ac = ActorCritic.create(k, CategoricalHead(k), (), seed=0)
+    ((w, b),) = ac.actor_layers
+    w[:], b[:] = np.eye(k), 0.0
+    actions = rng.integers(0, k, size=n)
+    logp_t, ent_t = pol.policy_graph(ac, nn.make_leaves(ac.params), logits, actions)
+    logp, ent = pol.logp_batch(ac, logits, actions, with_entropy=True)
+    assert np.array_equal(logp, logp_t.data)
+    assert ent == pol.entropy_mean(ac, logits) == float(ent_t.data)
 
 
 def test_backward_adds_consumer_gradients_latest_created_first():

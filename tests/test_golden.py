@@ -29,8 +29,8 @@ GOLDEN_SHA256 = {
         "83e4ab70cb612fb42845e462368d223381bacac0ec2b67d33c8b699d1ebfc749",
     ),
     "sparse_lander": (
-        "7ad0d0876298fb568737603f28557ae6099f51427e40e148e680bf2c5b76f5f0",
-        "138f0548ee2ff91d609841976f4cae2c5b4a0b51fad8f2063a68b9b4ea296765",
+        "7f493e84a3ebf2d7e5b22415ff7c31ade8b409901ed67adbe4c2984127dde9c6",
+        "770023d4aaee3cc6372095c1e4052d4ed3c0c945e2dd07f57dc453e5e1718122",
         "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
         "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
     ),
@@ -46,8 +46,8 @@ VARIANT_SHA256 = {
         "d4060ec5a89449e139c8c90249b29cf30f961894c12b68fbae15643124944018",
     ),
     ("sparse_lander", ("poem", "n_candidates"), "4"): (
-        "3c9e1125701220f9043ff179ed6db07ef38cfa4158a1e8a2706cd07016623930",
-        "9e7a7d8f94c9880e9b666bbfc723454d14c9245a1690e1ff957549a00027b97b",
+        "bb923882ddb4caa522559713d7508971b001db31eb53a18e178b2b79993587f7",
+        "4e7b3805d7499862aa0e417900125821dab5dbb8985dfa7239b67a66b71d06b8",
         "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
         "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
     ),
@@ -58,8 +58,8 @@ VARIANT_SHA256 = {
         "9d54be3df1755acf08fa2f9d5fb8055964978b9ffe6b4899f8858393c6c57ae4",
     ),
     ("sparse_lander", ("poem", "mutate_scope"), "actor_and_critic"): (
-        "7b1d48c85ccef3e038edd5baf9cf47b577e981753f86c148d0b3a353af510ecc",
-        "0685bb9341d025fe019d3a191fa2a6a27e2bd701ecc775fec7c46a499835292c",
+        "0e54266ae9a90726cecdc7aae3786a8d1857373288215d1bbc7e19c2161f1498",
+        "f5c5745ff7bba0cab3bc969a7d098c8109fe38ff93a099e40e3e17e6eb6cb5c3",
         "9a7345456f58c735bf7d5d04e09b99c9766506ecb5450cddeb28da23ba3164cc",
         "4b6ddfca8c6676c498183c97d4f068495985a69c3383820088b85ec3d66c6c85",
     ),
@@ -76,14 +76,14 @@ VARIANT_SHA256 = {
         "9a2bc9d7343e424cc1d9cf6a66cb80a58e05e695c60a87aeba7e0e6112c715f4",
     ),
     ("sparse_lander", ("ppo", "alpha_vf"), "0.0"): (
-        "75fcfe3bc856a7204cf993f1d9be442e9675a94f69f35c82e3bc550d473f0408",
-        "b09d9a1c134e4a6d7fe6510d83e71cdbfe2b6e85a26d44ba006040f60d81670c",
+        "ed05a78f9b11c8ba758751a56891373418455943594cdfe531980426dfad0f02",
+        "251826bedb0defd16951be114ded598d81274f3b5109aae7933644f9c74dc217",
         "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
         "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
     ),
     ("sparse_lander", ("ppo", "alpha_ent"), "0.01"): (
-        "5a386b743eed9b87f90a3ab446e318b7f6f0e98efd27c2d3fbf416f07af820f5",
-        "38e19339991638309c0256e0593f2f4007febf409166a2a4829bfaf4518f6cbb",
+        "a3d563659b9e65ce14df203696b20987fb1ec96258d7d496281509b5f42d1364",
+        "d51b0a46771c05a6b60ac6694dd4c50492dec83ad672d4449914c9d9f03b19f2",
         "891ec363bfedfa533f14fe8219e68aefbeb6a12d202e0e990977523d7226fcc8",
         "a6963addf8664b8b6c1509e21753620899f60fb545daef62165f6a772475dd57",
     ),

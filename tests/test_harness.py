@@ -2,9 +2,11 @@
 tune, and the CLI wiring."""
 
 import csv
+import ctypes
 import io
 import json
 import math
+import re
 import struct
 import tempfile
 import warnings
@@ -23,6 +25,19 @@ from poemrl.config import ALGOS, TUNE_TRIAL_TIMESTEPS, TuneSpec, load_run_config
 from poemrl.envs import ENV_REGISTRY, make_env
 from poemrl.harness import compare, derive_streams, evaluate, load_checkpoint, save_checkpoint, train
 from poemrl.policy import ActorCritic, CategoricalHead, DiagGaussianHead
+
+
+def blas_threads(_config=None) -> int | None:
+    """This process's OpenBLAS thread count; None without numpy's bundled
+    OpenBLAS or its thread-count getter and setter."""
+    try:
+        lib = ctypes.CDLL(str(next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))))
+        lib.scipy_openblas_set_num_threads64_  # the setter run_many's workers call
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
 
 
 def tiny_config(tmp_path, algo="poem", seed=1, env="mountain_car_continuous", extra=None):
@@ -415,6 +430,14 @@ class TestTrain:
         for a, b in zip(seq, par):
             assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
 
+    def test_run_many_workers_use_one_blas_thread(self, monkeypatch):
+        threads = blas_threads()
+        if threads is None:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread-count setter")
+        monkeypatch.setattr(harness, "_train_worker", blas_threads)  # each worker reports its count
+        assert harness.run_many([None, None], jobs=2) == [1, 1]
+        assert blas_threads() == threads  # the calling process keeps its own
+
 
 class TestEvaluate:
     def test_writes_episode_and_step_csvs(self, tmp_path):
@@ -537,6 +560,22 @@ class TestCompare:
         synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0])
         synthetic_run_set(set_b, "poem", "sparse_lander", [1.0, 2.0])
         with pytest.raises(ValueError, match="at least 2"):
+            compare(set_a, set_b)
+
+    def test_overflowing_mean_reward_names_its_file(self, tmp_path):
+        set_a, set_b = tmp_path / "a", tmp_path / "b"
+        synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0, 2.0])
+        synthetic_run_set(set_b, "poem", "sparse_lander", [1.7e308, 1.0])  # finite rewards, an inf sum
+        path = set_b / "seed_0" / "episodes.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the mean total_reward of env "
+                                             "'sparse_lander' overflows to inf$"):
+            compare(set_a, set_b)
+
+    def test_overflowing_welch_statistic_names_its_env(self, tmp_path):
+        set_a, set_b = tmp_path / "a", tmp_path / "b"
+        synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0, 2.0])
+        synthetic_run_set(set_b, "poem", "sparse_lander", [1.5e308, -1.5e308], episodes=1)  # finite means
+        with pytest.raises(ValueError, match="^env 'sparse_lander': the Welch statistic is not finite$"):
             compare(set_a, set_b)
 
     def test_missing_csvs_rejected_with_path(self, tmp_path):

@@ -435,13 +435,15 @@ class TestUpdateWork:
         assert passes["probe"] == [2, 2]
         assert passes["trigger"] == [1 + entropy_pass + per_candidate * k] * 2
 
-    def test_mcc_poem_gradient_step_tensor_count(self, monkeypatch):
-        # one node per network, per fused loss term, per leaf and per remaining op
+    @staticmethod
+    def gradient_step_tensor_count(monkeypatch, env_id) -> int:
+        """Tensors one POEM gradient step makes under `env_id`'s default config:
+        one node per network, per fused loss term, per leaf and per remaining op."""
         from poemrl import envs, harness
         from poemrl.autodiff import Tensor
         from poemrl.config import load_run_config
 
-        cfg = load_run_config(flag_overrides={("run", "env"): "mountain_car_continuous"}, environ={})
+        cfg = load_run_config(flag_overrides={("run", "env"): env_id}, environ={})
         ac = harness.build_actor_critic(envs.make_env(cfg.env_id), cfg.hidden_sizes, 0, cfg.log_std_init)
         mb = gaussian_batch(ac, np.random.default_rng(0), n=cfg.ppo.minibatch_size).minibatch(
             np.arange(cfg.ppo.minibatch_size))
@@ -455,8 +457,16 @@ class TestUpdateWork:
         monkeypatch.setattr(Tensor, "__init__", counted)
         ppo.apply_minibatch_step(ac, mb, cfg.ppo, nn.init_adam(len(ac.params)), cfg.poem.lambda_div,
                                  ac.policy_params() + 0.01)
+        return len(created)
+
+    def test_mcc_poem_gradient_step_tensor_count(self, monkeypatch):
         # the zero-weighted entropy's three nodes are built but kept out of the sum
-        assert len(created) == 30
+        assert self.gradient_step_tensor_count(monkeypatch, "mountain_car_continuous") == 30
+
+    def test_lander_poem_gradient_step_tensor_count(self, monkeypatch):
+        # the categorical head's log-probs and entropy: log_softmax_rows, then
+        # gather_rows and mean_entropy; the entropy is kept out of the sum
+        assert self.gradient_step_tensor_count(monkeypatch, "sparse_lander") == 27
 
 
 class TestUpdateErrors:
