@@ -7,15 +7,14 @@ order. Only the ops needed by the policy-gradient losses are implemented;
 everything is double precision.
 
 Fused ops cover the hot path of a minibatch with one node each: `mlp` (a
-whole network), `diag_gaussian_logp`, `log_softmax_rows`, `mean_entropy`,
-`clipped_surrogate`, and the `mean_squared_error` and `mean_difference`
-loss terms. The backward of `mlp`, `diag_gaussian_logp` and the loss terms
-repeats the floating-point operations of the composition it replaces, so
-fused and unfused graphs give bit-identical values and gradients. The loss
-ops also take plain arrays, for scoring off the tape. The log-prob and
+whole network), `diag_gaussian_logp`, `log_softmax_rows` and
+`mean_entropy`. The backward of `mlp` and `diag_gaussian_logp` repeats the
+floating-point operations of the composition it replaces, so fused and
+unfused graphs give bit-identical values and gradients. The log-prob and
 entropy nodes run plain-numpy functions that `policy.logp_batch` calls
 too: `gaussian_logp`, and the categorical `log_softmax` and
-`categorical_entropy`.
+`categorical_entropy`. The composite loss is one node too, built by
+`ppo.loss_graph` over a plain-numpy function and its VJP.
 """
 
 from __future__ import annotations
@@ -261,48 +260,3 @@ def mean_entropy(log_p: Tensor) -> Tensor:
         log_p._accum((g * scale) * np.exp(log_p.data) * (log_p.data + 1.0))
 
     return Tensor(categorical_entropy(log_p.data), (log_p,), backward)
-
-
-def clipped_surrogate(logp, logp_old: np.ndarray, adv: np.ndarray, clip_epsilon: float) -> Tensor:
-    """PPO's -mean(min(r * adv, clip(r, 1 - eps, 1 + eps) * adv)), where
-    r = exp(logp - logp_old). On ties the gradient goes to the unclipped
-    branch, as in `minimum`; outside the clip interval the clipped branch
-    passes none."""
-    logp = _ensure(logp)
-    lo, hi = 1.0 - clip_epsilon, 1.0 + clip_epsilon
-    ratio = np.exp(logp.data - logp_old)
-    inside = (ratio >= lo) & (ratio <= hi)
-    unclipped = ratio * adv
-    clipped = np.clip(ratio, lo, hi) * adv
-    take_unclipped = unclipped <= clipped
-    scale = 1.0 / ratio.size
-
-    def backward(g):
-        g_min = g * -1.0 * scale
-        g_ratio = g_min * take_unclipped * adv + g_min * ~take_unclipped * adv * inside
-        logp._accum(g_ratio * ratio)
-
-    return Tensor(np.where(take_unclipped, unclipped, clipped).sum() * scale * -1.0, (logp,), backward)
-
-
-def mean_squared_error(v, target: np.ndarray) -> Tensor:
-    """mean((v - target)^2) for (n,) `v`, as `tmean(square(add(v, -target)))`."""
-    v = _ensure(v)
-    d = v.data + -target
-    scale = 1.0 / d.size
-
-    def backward(g):
-        v._accum(g * scale * 2.0 * d)
-
-    return Tensor((d * d).sum() * scale, (v,), backward)
-
-
-def mean_difference(a, b: np.ndarray) -> Tensor:
-    """mean(a - b) for (n,) `a`, as `tmean(add(a, -b))`."""
-    a = _ensure(a)
-    scale = 1.0 / a.data.size
-
-    def backward(g):
-        a._accum(np.broadcast_to(g * scale, a.data.shape).copy())
-
-    return Tensor((a.data + -b).sum() * scale, (a,), backward)

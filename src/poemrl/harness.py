@@ -198,7 +198,8 @@ def _empty_out_dir(path: str | Path) -> Path:
 
 def train(config: RunConfig) -> TrainResult:
     """Run one seeded training run to its timestep budget, persisting
-    config snapshot, metrics CSV, and checkpoints."""
+    config snapshot, metrics CSV (each update's rows flushed as it ends),
+    and checkpoints."""
     out_dir = _empty_out_dir(config.out_dir)
     config_path = out_dir / "config.ini"
     with _atomic_open(config_path, "w", encoding="utf-8") as fh:
@@ -213,38 +214,35 @@ def train(config: RunConfig) -> TrainResult:
     adam_state = nn.init_adam(len(ac.params), lr=config.ppo.learning_rate)
     tracker = poem.init_tracker(ac, config.poem.beta)
 
-    rows: list[list] = []
     global_step = 0
     update = 0
     failure: Exception | None = None
-    try:
-        while global_step < config.total_timesteps:
-            batch, obs = rollout.collect(env, ac, config.n_steps, streams.action_rng, obs)
-            batch = rollout.compute_gae(batch, config.ppo.gamma, config.ppo.lam)
-            if config.algo == "poem":
-                ac, tracker, adam_state, diags = poem.poem_update(
-                    ac, tracker, batch, config.ppo, config.poem,
-                    adam_state, streams.shuffle_rng, streams.mutation_rng,
-                )
-                per_mb = diags
-            else:
-                ac, adam_state, breakdowns = ppo.ppo_update(
-                    ac, batch, config.ppo, adam_state, streams.shuffle_rng
-                )
-                per_mb = [(bd, None) for bd in breakdowns]
-            global_step += config.n_steps
-            update += 1
-            for k, (bd, dm) in enumerate(per_mb):
-                rows.append(_metrics_row(update, global_step, k, bd, dm))
-            if config.checkpoint_every and update % config.checkpoint_every == 0:
-                save_checkpoint(out_dir / f"checkpoint_{update:05d}.bin", ac, config.env_id, config.algo)
-    except NumericalError as err:  # raised below and written to failure.txt as one text
-        failure = NumericalError(f"training stopped after update {update}: {err}")
-
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
+    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:  # streamed: each update's rows, flushed
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
-        writer.writerows(rows)
+        try:
+            while global_step < config.total_timesteps:
+                batch, obs = rollout.collect(env, ac, config.n_steps, streams.action_rng, obs)
+                batch = rollout.compute_gae(batch, config.ppo.gamma, config.ppo.lam)
+                if config.algo == "poem":
+                    ac, tracker, adam_state, per_mb = poem.poem_update(
+                        ac, tracker, batch, config.ppo, config.poem,
+                        adam_state, streams.shuffle_rng, streams.mutation_rng,
+                    )
+                else:
+                    ac, adam_state, breakdowns = ppo.ppo_update(
+                        ac, batch, config.ppo, adam_state, streams.shuffle_rng
+                    )
+                    per_mb = [(bd, None) for bd in breakdowns]
+                global_step += config.n_steps
+                update += 1
+                writer.writerows(_metrics_row(update, global_step, k, bd, dm) for k, (bd, dm) in enumerate(per_mb))
+                fh.flush()
+                if config.checkpoint_every and update % config.checkpoint_every == 0:
+                    save_checkpoint(out_dir / f"checkpoint_{update:05d}.bin", ac, config.env_id, config.algo)
+        except NumericalError as err:  # raised below and written to failure.txt as one text
+            failure = NumericalError(f"training stopped after update {update}: {err}")
+
     save_checkpoint(final_path, ac, config.env_id, config.algo)
     if failure is not None:
         (out_dir / "failure.txt").write_text(f"{failure}\n", encoding="utf-8")

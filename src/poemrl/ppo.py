@@ -5,10 +5,11 @@ against a reference policy; with lambda_div = 0 that term is skipped
 entirely, so the plain update is bit-identical whether it is invoked
 directly or through the mutation-augmented loop built on top of it.
 
-One function assembles the composite loss from the tape's loss ops:
-`loss_graph` hands it tape Tensors for the one backward pass per
-minibatch, and `evaluate_loss` hands it plain arrays to score mutation
-candidates, so both compute the same number.
+One plain-numpy function assembles the composite loss from the actor's
+log-probs and mean entropy and the critic's values, with its VJP:
+`loss_graph` wraps it as one tape node over those three, for the one
+backward pass per minibatch, and `evaluate_loss` calls it directly to score
+mutation candidates, building no Tensor, so both compute the same number.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import nn
 from . import policy as pol
 from .autodiff import NumericalError, Tensor
@@ -68,6 +68,21 @@ class LossBreakdown:
     l_total: float
 
 
+def _surrogate(logp, logp_old, adv, clip_epsilon: float):
+    """PPO's -mean(min(r * adv, clip(r, 1 - eps, 1 + eps) * adv)), where
+    r = exp(logp - logp_old), with the `ratio`, `take_unclipped` and `inside`
+    masks its VJP reuses: on ties the gradient goes to the unclipped branch,
+    and outside the clip interval the clipped branch passes none."""
+    lo, hi = 1.0 - clip_epsilon, 1.0 + clip_epsilon
+    ratio = np.exp(logp - logp_old)
+    inside = (ratio >= lo) & (ratio <= hi)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, lo, hi) * adv
+    take_unclipped = unclipped <= clipped
+    surrogate = np.where(take_unclipped, unclipped, clipped).sum() * (1.0 / ratio.size) * -1.0
+    return surrogate, ratio, take_unclipped, inside
+
+
 def clipped_surrogate(logp_new, logp_old, adv, clip_epsilon: float) -> float:
     """-mean(min(ratio*adv, clip(ratio)*adv)); lower is better."""
     logp_new = np.asarray(logp_new, dtype=np.float64)
@@ -75,7 +90,7 @@ def clipped_surrogate(logp_new, logp_old, adv, clip_epsilon: float) -> float:
     adv = np.asarray(adv, dtype=np.float64)
     if not (logp_new.shape == logp_old.shape == adv.shape) or logp_new.size < 1:
         raise ValueError("logp_new, logp_old, adv must have equal nonzero lengths")
-    return float(ad.clipped_surrogate(logp_new, logp_old, adv, clip_epsilon).data)
+    return float(_surrogate(logp_new, logp_old, adv, clip_epsilon)[0])
 
 
 def value_loss(values_new, returns) -> float:
@@ -83,7 +98,8 @@ def value_loss(values_new, returns) -> float:
     returns = np.asarray(returns, dtype=np.float64)
     if values_new.shape != returns.shape:
         raise ValueError("values and returns must have equal lengths")
-    return float(ad.mean_squared_error(values_new, returns).data)
+    d = values_new + -returns
+    return float((d * d).sum() * (1.0 / d.size))
 
 
 def minibatch_plan(
@@ -100,39 +116,49 @@ def minibatch_plan(
     return plan
 
 
-def _composite(ac: ActorCritic, logp, ent, values, mb: Minibatch, cfg: PpoConfig, lambda_div: float,
-               ema_policy_params: np.ndarray | None, ema_logp=None) -> tuple[Tensor, LossBreakdown]:
+def _composite(ac: ActorCritic, logp: np.ndarray, ent, values: np.ndarray, mb: Minibatch, cfg: PpoConfig,
+               lambda_div: float, ema_policy_params: np.ndarray | None, ema_logp=None):
     """The composite loss from the actor's log-probs and mean entropy and the
-    critic's values, as tape Tensors or as plain arrays, and its pieces.
-
-    Every term is built and reported; a zero coefficient only keeps its term
-    out of the sum, so backward never reaches it. The diversity term alone
-    is built only for a nonzero lambda_div, since it needs the reference
-    policy's log-probs, from an actor pass unless `ema_logp` stands in.
+    critic's values, all plain arrays: its pieces, its value, and its VJP to
+    those three, which repeats the per-term VJPs in `Tensor.backward`'s order.
+    Every term is reported; a zero coefficient only keeps its term out of the
+    sum, and its input's gradient is None. The diversity term needs the
+    reference policy's log-probs, from an actor pass unless `ema_logp` is given.
     """
-    l_ppo = ad.clipped_surrogate(logp, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
+    scale = 1.0 / logp.size
+    adv = mb.advantages
+    l_ppo, ratio, take_unclipped, inside = _surrogate(logp, mb.log_probs_old, adv, cfg.clip_epsilon)
     loss = l_ppo
 
-    kl_val = 0.0
+    kl = 0.0
     if lambda_div != 0.0:
         if ema_policy_params is None:
             raise ValueError("lambda_div != 0 requires reference policy parameters")
         if ema_logp is None:
-            # the reference policy is a constant: its log-probs stay off the tape
+            # the reference policy is a constant: its log-probs get no gradient
             ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema_policy_params)
-        kl = ad.mean_difference(logp, ema_logp)
-        loss = ad.add(loss, ad.mul(kl, -lambda_div))
-        kl_val = float(kl.data)
+        kl = (logp + -ema_logp).sum() * scale
+        loss = loss + kl * -lambda_div
 
-    l_vf = ad.mean_squared_error(values, mb.returns)
+    d = values + -mb.returns
+    l_vf = (d * d).sum() * scale
     if cfg.alpha_vf != 0.0:
-        loss = ad.add(loss, ad.mul(l_vf, cfg.alpha_vf))
+        loss = loss + l_vf * cfg.alpha_vf
     if cfg.alpha_ent != 0.0:
-        loss = ad.add(loss, ad.mul(ent, -cfg.alpha_ent))
+        loss = loss + ent * -cfg.alpha_ent
 
-    entropy = float(getattr(ent, "data", ent))  # a node on the tape, a float (NaN if unweighted) off it
-    return loss, LossBreakdown(l_ppo=float(l_ppo.data), l_vf=float(l_vf.data), entropy=entropy,
-                               kl_div=kl_val, l_total=float(loss.data))
+    def vjp(g):
+        g_min = g * -1.0 * scale
+        g_logp = (g_min * take_unclipped * adv + g_min * ~take_unclipped * adv * inside) * ratio
+        if lambda_div != 0.0:
+            g_logp = g * -lambda_div * scale + g_logp
+        return (g_logp,
+                g * -cfg.alpha_ent if cfg.alpha_ent != 0.0 else None,
+                g * cfg.alpha_vf * scale * 2.0 * d if cfg.alpha_vf != 0.0 else None)
+
+    breakdown = LossBreakdown(l_ppo=float(l_ppo), l_vf=float(l_vf), entropy=float(ent), kl_div=float(kl),
+                              l_total=float(loss))
+    return breakdown, loss, vjp
 
 
 def loss_graph(
@@ -143,10 +169,18 @@ def loss_graph(
     lambda_div: float = 0.0,
     ema_policy_params: np.ndarray | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Build the total loss on the tape and report its pieces."""
+    """Build the total loss on the tape, one node over the actor's log-probs
+    and mean entropy and the critic's values, and report its pieces."""
     logp, ent = pol.policy_graph(ac, leaves, mb.obs, mb.actions)
-    values = pol.values_graph(ac, leaves, mb.obs)
-    return _composite(ac, logp, ent, values, mb, cfg, lambda_div, ema_policy_params)
+    parents = (logp, ent, pol.values_graph(ac, leaves, mb.obs))
+    breakdown, loss, vjp = _composite(ac, *(t.data for t in parents), mb, cfg, lambda_div, ema_policy_params)
+
+    def backward(g):
+        for parent, grad in zip(parents, vjp(g)):
+            if grad is not None:
+                parent._accum(grad)
+
+    return Tensor(loss, parents, backward), breakdown
 
 
 def evaluate_loss(
@@ -173,7 +207,7 @@ def evaluate_loss(
         ent = pol.entropy_mean(ac, mb.obs) if cfg.alpha_ent != 0.0 else np.nan
     if values is None:
         values = pol.values_batch(ac, mb.obs)
-    return _composite(ac, logp, ent, values, mb, cfg, lambda_div, ema_policy_params, ema_logp)[1]
+    return _composite(ac, logp, ent, values, mb, cfg, lambda_div, ema_policy_params, ema_logp)[0]
 
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:

@@ -21,34 +21,26 @@ _CF_EPS = 3e-16
 _CF_TINY = 1e-300
 
 
+def _floor(x: float) -> float:
+    """Lentz's guard: a magnitude under _CF_TINY becomes _CF_TINY; NaN passes through."""
+    return _CF_TINY if abs(x) < _CF_TINY else x
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
+    d = 1.0 / _floor(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_CF_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _floor(1.0 + aa * d)
+        c = _floor(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _floor(1.0 + aa * d)
+        c = _floor(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
@@ -109,6 +101,9 @@ def welch_t_test(a, b) -> TTestResult:
     sa, sb = va / len(a), vb / len(b)
     se = math.sqrt(sa + sb)
     t = (a.mean() - b.mean()) / se
+    # the dof is scale-free; scaling both sides by 2**-k is exact and keeps the squares finite
+    k = math.frexp(max(sa, sb))[1]
+    sa, sb = np.ldexp(sa, -k), np.ldexp(sb, -k)
     dof = (sa + sb) ** 2 / (sa * sa / (len(a) - 1) + sb * sb / (len(b) - 1))
     if not (math.isfinite(t) and math.isfinite(dof)):
         raise ValueError("the Welch statistic is not finite")

@@ -1,12 +1,14 @@
 """Tape ops and the tape walk that only the tests use.
 
-The fused `mlp`, `diag_gaussian_logp`, `clipped_surrogate`,
-`mean_squared_error` and `mean_difference` ops are checked bit for bit
+The fused `mlp` and `diag_gaussian_logp` ops are checked bit for bit
 against the compositions they replaced, and the `log_softmax_rows` and
 `mean_entropy` nodes against their elementwise compositions to within
 rounding; these are the ops of those compositions that the library itself
 no longer needs. Each keeps its own finite-difference check in
-test_autodiff.py. `dfs_backward` is the depth-first walk that
+test_autodiff.py. The loss ops `clipped_surrogate`, `mean_squared_error`
+and `mean_difference`, with `autodiff.add` and `mul`, compose the reference
+graph that `ppo.loss_graph`'s one composite-loss node is checked against,
+bit for bit, in test_ppo.py. `dfs_backward` is the depth-first walk that
 `Tensor.backward` replaced, kept as its reference.
 """
 
@@ -132,3 +134,48 @@ def logsumexp_rows(a) -> Tensor:
     m = a.data.max(axis=1, keepdims=True)  # constant shift, exact gradient anyway
     shifted = add(a, constant(-m))
     return add(log(tsum(exp(shifted), axis=1, keepdims=True)), constant(m))
+
+
+def clipped_surrogate(logp, logp_old: np.ndarray, adv: np.ndarray, clip_epsilon: float) -> Tensor:
+    """PPO's -mean(min(r * adv, clip(r, 1 - eps, 1 + eps) * adv)), where
+    r = exp(logp - logp_old). On ties the gradient goes to the unclipped
+    branch, as in `minimum`; outside the clip interval the clipped branch
+    passes none."""
+    logp = _ensure(logp)
+    lo, hi = 1.0 - clip_epsilon, 1.0 + clip_epsilon
+    ratio = np.exp(logp.data - logp_old)
+    inside = (ratio >= lo) & (ratio <= hi)
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, lo, hi) * adv
+    take_unclipped = unclipped <= clipped
+    scale = 1.0 / ratio.size
+
+    def backward(g):
+        g_min = g * -1.0 * scale
+        g_ratio = g_min * take_unclipped * adv + g_min * ~take_unclipped * adv * inside
+        logp._accum(g_ratio * ratio)
+
+    return Tensor(np.where(take_unclipped, unclipped, clipped).sum() * scale * -1.0, (logp,), backward)
+
+
+def mean_squared_error(v, target: np.ndarray) -> Tensor:
+    """mean((v - target)^2) for (n,) `v`, as `tmean(square(add(v, -target)))`."""
+    v = _ensure(v)
+    d = v.data + -target
+    scale = 1.0 / d.size
+
+    def backward(g):
+        v._accum(g * scale * 2.0 * d)
+
+    return Tensor((d * d).sum() * scale, (v,), backward)
+
+
+def mean_difference(a, b: np.ndarray) -> Tensor:
+    """mean(a - b) for (n,) `a`, as `tmean(add(a, -b))`."""
+    a = _ensure(a)
+    scale = 1.0 / a.data.size
+
+    def backward(g):
+        a._accum(np.broadcast_to(g * scale, a.data.shape).copy())
+
+    return Tensor((a.data + -b).sum() * scale, (a,), backward)

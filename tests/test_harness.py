@@ -423,6 +423,29 @@ class TestTrain:
             train(cfg)
         assert [p.name for p in stale.parent.iterdir()] == [stale.name]
 
+    def test_metrics_rows_are_flushed_as_each_update_ends(self, tmp_path, monkeypatch):
+        full = train(tiny_config(tmp_path / "full", extra={("run", "total_timesteps"): "512"}))
+        cfg = tiny_config(tmp_path / "cut", extra={("run", "total_timesteps"): "512"})
+        path, real, seen = Path(cfg.out_dir) / "metrics.csv", harness.poem.poem_update, []
+
+        def fails_on_update_3(*args):
+            if len(seen) == 2:
+                seen.append(path.read_bytes())  # what a reader sees while the run is still going
+                raise RuntimeError("killed")
+            seen.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(harness.poem, "poem_update", fails_on_update_3)
+        with pytest.raises(RuntimeError, match="killed"):
+            train(cfg)
+        cut = path.read_bytes()
+        assert seen[2] == cut
+        rows = list(csv.reader(io.StringIO(cut.decode())))
+        per_update = cfg.ppo.epochs * (cfg.n_steps // cfg.ppo.minibatch_size)
+        assert rows[0] == harness.METRICS_COLUMNS and len(rows) == 1 + 2 * per_update
+        assert [row[0] for row in rows[1:]] == ["1"] * per_update + ["2"] * per_update
+        assert full.metrics_path.read_bytes().startswith(cut)
+
     def test_run_many_matches_sequential(self, tmp_path):
         cfgs = [tiny_config(tmp_path / "p", seed=s) for s in (1, 2)]
         seq = [train(tiny_config(tmp_path / "s", seed=s)) for s in (1, 2)]

@@ -1,6 +1,8 @@
 """The mutation-augmented update: EMA tracking, sampled KL, composite loss,
 sigma interpolation, mutate-and-select, and reduction to plain PPO."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -436,9 +438,9 @@ class TestUpdateWork:
         assert passes["trigger"] == [1 + entropy_pass + per_candidate * k] * 2
 
     @staticmethod
-    def gradient_step_tensor_count(monkeypatch, env_id) -> int:
-        """Tensors one POEM gradient step makes under `env_id`'s default config:
-        one node per network, per fused loss term, per leaf and per remaining op."""
+    def tensors_made(monkeypatch, env_id, run) -> int:
+        """Tensors that `run(ac, mb, ppo_cfg, lambda_div, ema_policy_params)`
+        makes on one minibatch under `env_id`'s default config."""
         from poemrl import envs, harness
         from poemrl.autodiff import Tensor
         from poemrl.config import load_run_config
@@ -454,19 +456,38 @@ class TestUpdateWork:
             created.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Tensor, "__init__", counted)
-        ppo.apply_minibatch_step(ac, mb, cfg.ppo, nn.init_adam(len(ac.params)), cfg.poem.lambda_div,
-                                 ac.policy_params() + 0.01)
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "__init__", counted)
+            run(ac, mb, cfg.ppo, cfg.poem.lambda_div, ac.policy_params() + 0.01)
         return len(created)
 
+    def gradient_step_tensor_count(self, monkeypatch, env_id) -> int:
+        """Tensors one POEM gradient step makes: one node per network, per leaf,
+        per remaining policy op, and one for the composite loss."""
+        def step(ac, mb, cfg, lambda_div, ema):
+            ppo.apply_minibatch_step(ac, mb, cfg, nn.init_adam(len(ac.params)), lambda_div, ema)
+
+        return self.tensors_made(monkeypatch, env_id, step)
+
     def test_mcc_poem_gradient_step_tensor_count(self, monkeypatch):
-        # the zero-weighted entropy's three nodes are built but kept out of the sum
-        assert self.gradient_step_tensor_count(monkeypatch, "mountain_car_continuous") == 30
+        # the zero-weighted entropy's three nodes are built, but the loss node passes them no gradient
+        assert self.gradient_step_tensor_count(monkeypatch, "mountain_car_continuous") == 22
 
     def test_lander_poem_gradient_step_tensor_count(self, monkeypatch):
         # the categorical head's log-probs and entropy: log_softmax_rows, then
-        # gather_rows and mean_entropy; the entropy is kept out of the sum
-        assert self.gradient_step_tensor_count(monkeypatch, "sparse_lander") == 27
+        # gather_rows and mean_entropy; the loss node passes the entropy no gradient
+        assert self.gradient_step_tensor_count(monkeypatch, "sparse_lander") == 19
+
+    @pytest.mark.parametrize("env_id", ["mountain_car_continuous", "sparse_lander"])
+    def test_scoring_builds_no_tensor(self, monkeypatch, env_id):
+        # with the three stand-ins mutate_and_select passes, and with none
+        def with_stand_ins(ac, mb, cfg, lambda_div, ema):
+            known = dict(logp=pol.logp_batch(ac, mb.obs, mb.actions), values=pol.values_batch(ac, mb.obs),
+                         ema_logp=pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema))
+            return ppo.evaluate_loss(ac, mb, replace(cfg, alpha_ent=0.01), lambda_div, ema, **known)
+
+        assert self.tensors_made(monkeypatch, env_id, with_stand_ins) == 0
+        assert self.tensors_made(monkeypatch, env_id, ppo.evaluate_loss) == 0
 
 
 class TestUpdateErrors:

@@ -1,9 +1,12 @@
 """Clipped surrogate, value loss, and the minibatch update loop."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poemrl import autodiff as ad
 from poemrl import nn, ppo
@@ -205,6 +208,78 @@ class TestBackwardOrder:
                 walk(ppo.loss_graph(ac, leaves, mb, cfg, lambda_div, ema)[0])
                 grads.append(nn.collect_leaf_grads(leaves, ac.params.layout))
             assert np.array_equal(*grads), k
+
+
+def composed_loss(logp, ent, values, mb, cfg, lambda_div, ema_logp):
+    """The composite loss as the graph of the tape's loss ops that
+    `loss_graph`'s one node replaces, and its pieces."""
+    l_ppo = ops.clipped_surrogate(logp, mb.log_probs_old, mb.advantages, cfg.clip_epsilon)
+    loss, kl = l_ppo, 0.0
+    if lambda_div != 0.0:
+        kl_t = ops.mean_difference(logp, ema_logp)
+        loss, kl = ad.add(loss, ad.mul(kl_t, -lambda_div)), float(kl_t.data)
+    l_vf = ops.mean_squared_error(values, mb.returns)
+    if cfg.alpha_vf != 0.0:
+        loss = ad.add(loss, ad.mul(l_vf, cfg.alpha_vf))
+    if cfg.alpha_ent != 0.0:
+        loss = ad.add(loss, ad.mul(ent, -cfg.alpha_ent))
+    return loss, LossBreakdown(l_ppo=float(l_ppo.data), l_vf=float(l_vf.data), entropy=float(ent.data),
+                               kl_div=kl, l_total=float(loss.data))
+
+
+@st.composite
+def loss_inputs(draw):
+    """Log-probs, entropy, values and a minibatch for the composite loss; some
+    ratios lie exactly on the clip band's edges, and inside the band (or at
+    a zero advantage) the clipped and unclipped terms tie."""
+    n = draw(st.integers(1, 12))
+    eps = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    assert np.exp(np.log(1.0 + eps)) == 1.0 + eps and np.exp(np.log(1.0 - eps)) == 1.0 - eps
+    num = st.floats(-3.0, 3.0)
+    logp_old = np.array(draw(st.lists(num, min_size=n, max_size=n)))
+    logp = logp_old + np.array(draw(st.lists(num | st.sampled_from([0.0, 0.05]), min_size=n, max_size=n)))
+    for i in draw(st.sets(st.integers(0, n - 1))):  # rows whose ratio is 1 + eps or 1 - eps exactly
+        logp_old[i], logp[i] = 0.0, np.log(1.0 + draw(st.sampled_from([eps, -eps])))
+    arrays = [np.array(draw(st.lists(num | st.just(0.0), min_size=n, max_size=n))) for _ in range(4)]
+    mb = Minibatch(obs=np.zeros((n, 1)), actions=np.zeros(n), log_probs_old=logp_old, advantages=arrays[0],
+                   returns=arrays[1])
+    # thirds are not dyadic, so a product taken in another order rounds differently
+    weight = st.just(0.0) | st.floats(1e-3, 2.0).map(lambda w: w / 3.0)
+    cfg = small_cfg(clip_epsilon=eps, alpha_vf=draw(weight), alpha_ent=draw(weight))
+    upstream = draw(st.just(1.0) | num.map(lambda u: u / 3.0))
+    return logp, np.array(draw(num)), arrays[2], arrays[3], mb, cfg, draw(weight), upstream
+
+
+class TestCompositeNode:
+    """`loss_graph`'s one composite-loss node against the graph of loss ops
+    it replaces: the same value, pieces and gradients, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inputs=loss_inputs())
+    def test_matches_the_composed_loss_ops(self, inputs):
+        logp, ent, values, ema_logp, mb, cfg, lambda_div, upstream = inputs
+        ema_params = np.zeros(1) if lambda_div != 0.0 else None
+        results = []
+        for fused in (True, False):
+            leaves = [Tensor(x) for x in (logp, ent, values)]
+            if fused:
+                with mock.patch.object(pol, "policy_graph", lambda *_: leaves[:2]), \
+                        mock.patch.object(pol, "values_graph", lambda *_: leaves[2]), \
+                        mock.patch.object(pol, "logp_batch", lambda *_, **__: ema_logp):
+                    loss, bd = ppo.loss_graph(None, {}, mb, cfg, lambda_div, ema_params)
+                assert loss._parents == tuple(leaves)  # one node over the three inputs
+            else:
+                loss, bd = composed_loss(*leaves, mb, cfg, lambda_div, ema_logp)
+            ad.mul(loss, upstream).backward()  # an upstream gradient that need not be 1
+            results.append((loss.data, bd, [leaf.grad for leaf in leaves]))
+        (v, bd, grads), (v_ref, bd_ref, grads_ref) = results
+        assert np.array_equal(v, v_ref) and repr(bd) == repr(bd_ref)
+        assert np.array_equal(grads[0], grads_ref[0])
+        for grad, grad_ref, weight in zip(grads[1:], grads_ref[1:], (cfg.alpha_ent, cfg.alpha_vf)):
+            if weight == 0.0:  # an unweighted term's input is never reached
+                assert grad is None and grad_ref is None
+            else:
+                assert np.array_equal(grad, grad_ref)
 
 
 class TestPpoUpdate:

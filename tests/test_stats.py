@@ -96,6 +96,17 @@ class TestWelch:
             assert r.dof <= len(a) + len(b) - 2 + 1e-9
             assert r.dof >= min(len(a), len(b)) - 1 - 1e-9
 
+    def test_scaled_samples_give_the_same_statistic(self, rng):
+        # t, the dof and p are scale-free; the dof's squared variances of the
+        # mean would overflow from about 1e77
+        for _ in range(20):
+            a = rng.normal(size=int(rng.integers(2, 12)))
+            b = rng.normal(loc=0.5, size=int(rng.integers(2, 12)))
+            r, scaled = welch_t_test(a, b), welch_t_test(a * 2.0**400, b * 2.0**400)
+            assert (scaled.t_statistic, scaled.dof, scaled.p_value) == (r.t_statistic, r.dof, r.p_value)
+        r = welch_t_test([1e140, -1e140, 3e139], [1.0, 2.0, 3.0])
+        assert 2.0 - 1e-9 <= r.dof <= 4.0 + 1e-9 and 0.0 < r.p_value <= 1.0
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             welch_t_test([1.0], [1.0, 2.0])
