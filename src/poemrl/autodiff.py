@@ -3,18 +3,17 @@
 A small tape: every op returns a `Tensor` holding its value and a closure
 that routes the output gradient to its parents. `Tensor.backward()` walks
 the graph once in reverse creation order, which is a reverse topological
-order. Only the ops needed by the policy-gradient losses are implemented;
+order. Only the ops that the gradient checks compose are implemented;
 everything is double precision.
 
-Fused ops cover the hot path of a minibatch with one node each: `mlp` (a
-whole network), `diag_gaussian_logp`, `log_softmax_rows` and
-`mean_entropy`. The backward of `mlp` and `diag_gaussian_logp` repeats the
-floating-point operations of the composition it replaces, so fused and
-unfused graphs give bit-identical values and gradients. The log-prob and
-entropy nodes run plain-numpy functions that `policy.logp_batch` calls
-too: `gaussian_logp`, and the categorical `log_softmax` and
-`categorical_entropy`. The composite loss is one node too, built by
-`ppo.loss_graph` over a plain-numpy function and its VJP.
+A gradient step's tape is one leaf over the flat parameter vector and one
+loss node (`nn.make_leaves`, `ppo.loss_graph`), whose backward runs plain
+numpy VJPs. The policy heads' ones live here, beside the forward functions
+that `policy.logp_batch` calls too: `gaussian_logp`, and the categorical
+`log_softmax` and `categorical_entropy`. Each VJP repeats, op for op, the
+backward of the one-node tape op it replaced (`diag_gaussian_logp`,
+`log_softmax_rows`, `mean_entropy`, kept in tests/tape_ops.py as the
+reference), so both give bit-identical gradients.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ def mul(a, b) -> Tensor:
     return Tensor(a.data * b.data, (a, b), backward)
 
 
-# ---- elementwise functions ---------------------------------------------
+# ---- elementwise functions and reductions ------------------------------
 
 
 def square(a) -> Tensor:
@@ -134,20 +133,6 @@ def square(a) -> Tensor:
         a._accum(g * 2.0 * a.data)
 
     return Tensor(a.data * a.data, (a,), backward)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes through only inside the interval."""
-    a = _ensure(a)
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        a._accum(g * inside)
-
-    return Tensor(np.clip(a.data, lo, hi), (a,), backward)
-
-
-# ---- reductions and indexing -------------------------------------------
 
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -167,47 +152,12 @@ def tmean(a, axis: int | None = None) -> Tensor:
     return mul(tsum(a, axis=axis), 1.0 / n)
 
 
-def gather_rows(a, index: np.ndarray) -> Tensor:
-    """Pick one column per row: out[i] = a[i, index[i]]."""
-    a = _ensure(a)
-    rows = np.arange(a.data.shape[0])
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, index), g)
-        a._accum(full)
-
-    return Tensor(a.data[rows, index], (a,), backward)
-
-
-# ---- fused ops ------------------------------------------------------------
-
-
-def mlp(x: np.ndarray, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """A network of (W, b) layers, tanh between them, as one node: per layer
-    `x @ W + b`, then tanh except after the last. The input `x` gets no
-    gradient; the VJP repeats those of the per-layer `linear` and `tanh`."""
-    hs = [np.asarray(x, dtype=np.float64)]  # each layer's input, then the output
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        h = hs[-1] @ w.data + b.data
-        hs.append(h if i == last else np.tanh(h))
-
-    def backward(g):
-        for i in range(last, -1, -1):
-            w, b = layers[i]
-            b._accum(_unbroadcast(g, b.data.shape))
-            w._accum(hs[i].T @ g)
-            if i:
-                y = hs[i]
-                g = (g @ w.data.T) * (1.0 - y * y)
-
-    return Tensor(hs[-1], tuple(t for layer in layers for t in layer), backward)
+# ---- the policy heads' log-probs and entropy, and their VJPs ---------------
 
 
 def gaussian_logp(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-row log N(actions | mean, diag(exp(log_std))^2), shape (n,), with
-    the `std`, `diff` and `z` that `diag_gaussian_logp`'s VJP reuses.
+    the `std`, `diff` and `z` that `gaussian_logp_vjp` reuses.
 
     `mean` is (n, d) and `log_std` is (d,), already clipped if it should be.
     """
@@ -217,17 +167,11 @@ def gaussian_logp(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) ->
     return (z * z).sum(axis=1) * -0.5 + (log_std.sum() * -1.0 + (-0.5 * LOG_2PI * log_std.size)), std, diff, z
 
 
-def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Tensor:
-    """`gaussian_logp` as one node."""
-    logp, std, diff, z = gaussian_logp(mean.data, log_std.data, actions)
-
-    def backward(g):
-        g_z = (g * -0.5)[:, None] * 2.0 * z
-        g_std = (-g_z * diff / (std * std)).sum(axis=0)
-        log_std._accum(g_std * std + g.sum() * -1.0)
-        mean._accum(g_z / std * -1.0)
-
-    return Tensor(logp, (mean, log_std), backward)
+def gaussian_logp_vjp(g: np.ndarray, std: np.ndarray, diff: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`gaussian_logp`'s VJP to (`mean`, `log_std`) for an upstream (n,) `g`."""
+    g_z = (g * -0.5)[:, None] * 2.0 * z
+    g_std = (-g_z * diff / (std * std)).sum(axis=0)
+    return g_z / std * -1.0, g_std * std + g.sum() * -1.0
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -237,14 +181,9 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def log_softmax_rows(logits: Tensor) -> Tensor:
-    """`log_softmax` as one node."""
-    y = log_softmax(logits.data)
-
-    def backward(g):
-        logits._accum(g - np.exp(y) * g.sum(axis=1, keepdims=True))
-
-    return Tensor(y, (logits,), backward)
+def log_softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`log_softmax`'s VJP to the logits for an upstream (n, k) `g` and its output `y`."""
+    return g - np.exp(y) * g.sum(axis=1, keepdims=True)
 
 
 def categorical_entropy(log_p: np.ndarray) -> float:
@@ -252,11 +191,6 @@ def categorical_entropy(log_p: np.ndarray) -> float:
     return float(-(np.exp(log_p) * log_p).sum(axis=1).mean())
 
 
-def mean_entropy(log_p: Tensor) -> Tensor:
-    """`categorical_entropy` as one node."""
-    scale = -1.0 / log_p.data.shape[0]
-
-    def backward(g):
-        log_p._accum((g * scale) * np.exp(log_p.data) * (log_p.data + 1.0))
-
-    return Tensor(categorical_entropy(log_p.data), (log_p,), backward)
+def categorical_entropy_vjp(g, log_p: np.ndarray) -> np.ndarray:
+    """`categorical_entropy`'s VJP to `log_p` for a scalar upstream `g`."""
+    return (g * (-1.0 / log_p.shape[0])) * np.exp(log_p) * (log_p + 1.0)

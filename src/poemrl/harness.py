@@ -316,11 +316,11 @@ def _write_steps_csv(path: Path, algo: str, env_id: str, step_series: list[np.nd
     """One row per episode step, with the bytes `csv.writer` gives. No field
     needs quoting: `algo` is one of ALGOS, `env_id` an ENV_REGISTRY id (plain
     words), and the rest are numbers."""
-    prefix = f"{algo},{env_id},"
     with _atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(STEPS_COLUMNS)
         for i, series in enumerate(step_series):
-            fh.writelines(f"{prefix}{i},{step},{cum!r}\r\n" for step, cum in enumerate(series.tolist()))
+            prefix = f"{algo},{env_id},{i},"
+            fh.write("".join(f"{prefix}{step},{cum!r}\r\n" for step, cum in enumerate(series.tolist())))
 
 
 # ---- comparison ------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Parameters for a whole network live in one ordered float64 vector with an
 explicit layout, so they can be tracked, averaged, perturbed, and
-serialized as plain arrays. Gradients come from the tape in `autodiff`.
+serialized as plain arrays. `mlp_vjp` writes a forward pass's VJP straight
+into a flat gradient; the tape in `autodiff` sees the vector as one leaf.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 
 
@@ -91,12 +91,6 @@ class ParamVector:
                 return self.data[e.offset : e.offset + e.size].reshape(e.shape)
         raise KeyError(name)
 
-    def views(self) -> dict[str, np.ndarray]:
-        return {
-            e.name: self.data[e.offset : e.offset + e.size].reshape(e.shape)
-            for e in self.layout
-        }
-
     def with_data(self, data: np.ndarray) -> "ParamVector":
         return ParamVector(data, self.layout)
 
@@ -128,7 +122,7 @@ def params_from_bytes(buf: bytes, layout: tuple[LayoutEntry, ...]) -> ParamVecto
     return ParamVector(data, layout)
 
 
-# ---- initialization and forward pass -------------------------------------
+# ---- initialization, the forward pass and its VJP -------------------------
 
 
 def init_params(spec: MlpSpec, seed: int, final_layer_scale: float = 1.0) -> ParamVector:
@@ -151,35 +145,62 @@ def init_params(spec: MlpSpec, seed: int, final_layer_scale: float = 1.0) -> Par
     return pv
 
 
-def forward_batch(layers: tuple[tuple[np.ndarray, np.ndarray], ...], x: np.ndarray) -> np.ndarray:
-    """Plain-numpy forward of (W, b) layers for a (batch, n_in) input."""
-    h = np.asarray(x, dtype=np.float64)
+def forward_activations(layers: tuple[tuple[np.ndarray, np.ndarray], ...], x: np.ndarray) -> list[np.ndarray]:
+    """Plain-numpy forward of (W, b) layers, tanh between them, for a
+    (batch, n_in) input: each layer's input, then the output."""
+    hs = [np.asarray(x, dtype=np.float64)]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        h = h @ w + b
-        if i != last:
-            h = np.tanh(h)
-    return h
+        h = hs[-1] @ w + b
+        hs.append(h if i == last else np.tanh(h))
+    return hs
 
 
-def make_leaves(params: ParamVector) -> dict[str, Tensor]:
-    """One gradient-tracked leaf tensor per layout entry."""
-    return {name: Tensor(arr) for name, arr in params.views().items()}
+def forward_batch(layers: tuple[tuple[np.ndarray, np.ndarray], ...], x: np.ndarray) -> np.ndarray:
+    """The output of `forward_activations`."""
+    return forward_activations(layers, x)[-1]
 
 
-def forward_batch_t(spec: MlpSpec, leaves: dict[str, Tensor], x: np.ndarray, prefix: str = "") -> Tensor:
-    """Tape version of forward_batch, differentiable in the leaves (not in x)."""
-    return ad.mlp(x, [(leaves[f"{prefix}w{i}"], leaves[f"{prefix}b{i}"]) for i in range(spec.n_layers)])
+def mlp_vjp(layers, activations: list[np.ndarray], g: np.ndarray, grad_layers) -> None:
+    """Write the VJP of a `forward_activations` pass, for the output's
+    upstream `g`, into `grad_layers`, a flat gradient's (W, b) views (see
+    `layer_views`). The input gets none."""
+    for i in range(len(layers) - 1, -1, -1):
+        g_w, g_b = grad_layers[i]
+        g_b[...] = g.sum(axis=0)
+        g_w[...] = activations[i].T @ g
+        if i:
+            y = activations[i]
+            g = (g @ layers[i][0].T) * (1.0 - y * y)
 
 
-def collect_leaf_grads(leaves: dict[str, Tensor], layout: tuple[LayoutEntry, ...]) -> np.ndarray:
-    """Flatten leaf gradients into layout order; untouched leaves give zeros."""
-    out = np.zeros(sum(e.size for e in layout), dtype=np.float64)
-    for e in layout:
-        g = leaves[e.name].grad
-        if g is not None:
-            out[e.offset : e.offset + e.size] = g.ravel()
-    return out
+# ---- the tape's parameter leaf ----------------------------------------------
+
+
+def make_leaves(params: ParamVector) -> Tensor:
+    """The one gradient-tracked leaf of a parameter vector, over `params.data` itself."""
+    return Tensor(params.data)
+
+
+def leaf_node(leaves: Tensor, data: np.ndarray, value, fill) -> Tensor:
+    """One tape node over the leaf of parameter vector `data`, whose backward
+    runs `fill(g, grad)` on a zeroed flat gradient and adds that to the leaf."""
+    if leaves.data is not data:
+        raise ValueError("the leaf does not hold this parameter vector")
+
+    def backward(g):
+        grad = np.zeros(data.size)
+        fill(g, grad)
+        leaves._accum(grad)
+
+    return Tensor(value, (leaves,), backward)
+
+
+def collect_leaf_grads(leaves: Tensor, layout: tuple[LayoutEntry, ...]) -> np.ndarray:
+    """The leaf's gradient, in layout order; zeros if backward never reached it."""
+    if leaves.grad is None:
+        return np.zeros(sum(e.size for e in layout), dtype=np.float64)
+    return leaves.grad
 
 
 # ---- Adam -----------------------------------------------------------------
@@ -213,9 +234,19 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple[A
     if params.shape != grad.shape or params.shape != state.first_moment.shape:
         raise ValueError("parameter, gradient, and moment shapes must match")
     t = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    # the textbook expression's ufuncs in its order, into four arrays
+    tmp = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m = np.multiply(state.first_moment, ADAM_BETA1)
+    np.add(m, tmp, out=m)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+    np.multiply(tmp, grad, out=tmp)
+    v = np.multiply(state.second_moment, ADAM_BETA2)
+    np.add(v, tmp, out=v)
+    new_params = np.divide(v, 1.0 - ADAM_BETA2**t)
+    np.sqrt(new_params, out=new_params)
+    np.add(new_params, ADAM_EPSILON, out=new_params)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)
+    np.multiply(tmp, state.lr, out=tmp)
+    np.divide(tmp, new_params, out=tmp)
+    np.subtract(params, tmp, out=new_params)
     return AdamState(m, v, t, state.lr), new_params

@@ -133,6 +133,12 @@ def param_layout(
     return actor_spec, critic_spec, layout + nn.mlp_layout(critic_spec, "critic.", offset)
 
 
+def _clip_log_std(log_std: np.ndarray) -> np.ndarray:
+    """np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)'s value, NaN included,
+    without its per-call overhead."""
+    return np.minimum(np.maximum(log_std, LOG_STD_MIN), LOG_STD_MAX)
+
+
 def _features(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
     return np.asarray(obs, dtype=np.float64) * ac.obs_scale
 
@@ -153,8 +159,7 @@ def distribution(ac: ActorCritic, obs) -> DiagGaussian | Categorical:
     would; a 2-D (E, obs_dim) pass would not."""
     out = _actor_pass(ac, obs)
     if isinstance(ac.head, DiagGaussianHead):
-        # np.clip's value, NaN included, without its per-call overhead
-        return DiagGaussian(mean=out, std=np.exp(np.minimum(np.maximum(ac.log_std, LOG_STD_MIN), LOG_STD_MAX)))
+        return DiagGaussian(mean=out, std=np.exp(_clip_log_std(ac.log_std)))
     return Categorical(probs=_softmax_rows(out))
 
 
@@ -223,7 +228,7 @@ def logp_batch(
         layers, log_std = nn.layer_views(ac.actor_spec, flat), flat[ac.actor_spec.n_params : ac.n_policy]
     out = nn.forward_batch(layers, _features(ac, obs))
     if isinstance(ac.head, DiagGaussianHead):
-        logp = ad.gaussian_logp(out, np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX), actions)[0]
+        logp = ad.gaussian_logp(out, _clip_log_std(log_std), actions)[0]
     else:
         out = ad.log_softmax(out)  # every action's log-prob, which the entropy reads too
         logp = out[np.arange(len(actions)), actions]
@@ -232,8 +237,7 @@ def logp_batch(
 
 def _entropy(ac: ActorCritic, log_p: np.ndarray | None, log_std: np.ndarray) -> float:
     if isinstance(ac.head, DiagGaussianHead):
-        # summed as policy_graph does, so the two agree bit for bit
-        return float(np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX).sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
+        return float(_clip_log_std(log_std).sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
     return ad.categorical_entropy(log_p)
 
 
@@ -244,23 +248,68 @@ def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
     return _entropy(ac, ad.log_softmax(nn.forward_batch(ac.actor_layers, _features(ac, obs))), ac.log_std)
 
 
-# ---- tape paths (differentiable, for the update step) --------------------
+# ---- tape paths: outputs with a VJP into a flat gradient laid out like params
 
 
-def policy_graph(
-    ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray, actions: np.ndarray
-) -> tuple[Tensor, Tensor]:
-    """Build (per-sample log-prob (n,), mean entropy scalar) on the tape."""
-    out = nn.forward_batch_t(ac.actor_spec, leaves, _features(ac, obs), prefix="actor.")
+def _plus(first, second):
+    """first + second, where a None term passes nothing."""
+    return second if first is None else first if second is None else first + second
+
+
+def policy_forward(ac: ActorCritic, x: np.ndarray, actions: np.ndarray):
+    """The actor on features `x`: log-probs (n,) of `actions`, mean entropy,
+    and `vjp(g_logp, g_ent, grad)`, writing the actor's and log_std's part of
+    `grad`; a None upstream passes nothing. Where both feed one input, the
+    entropy's gradient is added first, as `Tensor.backward` did."""
+    hs = nn.forward_activations(ac.actor_layers, x)
     if isinstance(ac.head, DiagGaussianHead):
-        log_std = ad.clip(leaves["log_std"], LOG_STD_MIN, LOG_STD_MAX)
-        logp = ad.diag_gaussian_logp(out, log_std, actions)
-        ent = ad.add(ad.tsum(log_std), ad.constant(GAUSSIAN_ENTROPY_CONST * ac.head.action_dim))
-        return logp, ent
-    log_all = ad.log_softmax_rows(out)
-    return ad.gather_rows(log_all, actions), ad.mean_entropy(log_all)
+        clipped = _clip_log_std(ac.log_std)
+        inside = (ac.log_std >= LOG_STD_MIN) & (ac.log_std <= LOG_STD_MAX)
+        logp, std, diff, z = ad.gaussian_logp(hs[-1], clipped, actions)
+        ent = _entropy(ac, None, ac.log_std)
+
+        def head_vjp(g_logp, g_ent):
+            g_out, g_clipped = (None, None) if g_logp is None else ad.gaussian_logp_vjp(g_logp, std, diff, z)
+            return g_out, _plus(None if g_ent is None else np.broadcast_to(g_ent, clipped.shape), g_clipped) * inside
+    else:
+        log_p, rows = ad.log_softmax(hs[-1]), np.arange(len(actions))
+        logp, ent = log_p[rows, actions], _entropy(ac, log_p, ac.log_std)
+
+        def head_vjp(g_logp, g_ent):
+            g = None
+            if g_logp is not None:
+                g = np.zeros_like(log_p)
+                np.add.at(g, (rows, actions), g_logp)
+            g_ent = None if g_ent is None else ad.categorical_entropy_vjp(g_ent, log_p)
+            return ad.log_softmax_vjp(_plus(g_ent, g), log_p), None
+
+    def vjp(g_logp, g_ent, grad: np.ndarray) -> None:
+        g_out, g_log_std = head_vjp(g_logp, g_ent)
+        if g_log_std is not None:
+            grad[ac.actor_spec.n_params : ac.n_policy] = g_log_std
+        if g_out is not None:
+            nn.mlp_vjp(ac.actor_layers, hs, g_out, nn.layer_views(ac.actor_spec, grad))
+
+    return logp, ent, vjp
 
 
-def values_graph(ac: ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray) -> Tensor:
-    out = nn.forward_batch_t(ac.critic_spec, leaves, _features(ac, obs), prefix="critic.")
-    return ad.tsum(out, axis=1)  # (n, 1) -> (n,)
+def values_forward(ac: ActorCritic, x: np.ndarray):
+    """The critic on features `x`: values (n,) and `vjp(g, grad)`, writing the critic's part of `grad`."""
+    hs = nn.forward_activations(ac.critic_layers, x)
+
+    def vjp(g: np.ndarray, grad: np.ndarray) -> None:
+        nn.mlp_vjp(ac.critic_layers, hs, g.reshape(-1, 1), nn.layer_views(ac.critic_spec, grad, ac.n_policy))
+
+    return hs[-1][:, 0], vjp
+
+
+def policy_graph(ac: ActorCritic, leaves: Tensor, obs: np.ndarray, actions: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The log-probs (n,) and the mean entropy on the tape, one node each over the parameter leaf."""
+    logp, ent, vjp = policy_forward(ac, _features(ac, obs), actions)
+    return (nn.leaf_node(leaves, ac.params.data, logp, lambda g, grad: vjp(g, None, grad)),
+            nn.leaf_node(leaves, ac.params.data, ent, lambda g, grad: vjp(None, g, grad)))
+
+
+def values_graph(ac: ActorCritic, leaves: Tensor, obs: np.ndarray) -> Tensor:
+    """The values (n,) on the tape, one node over the parameter leaf."""
+    return nn.leaf_node(leaves, ac.params.data, *values_forward(ac, _features(ac, obs)))

@@ -7,9 +7,10 @@ directly or through the mutation-augmented loop built on top of it.
 
 One plain-numpy function assembles the composite loss from the actor's
 log-probs and mean entropy and the critic's values, with its VJP:
-`loss_graph` wraps it as one tape node over those three, for the one
-backward pass per minibatch, and `evaluate_loss` calls it directly to score
-mutation candidates, building no Tensor, so both compute the same number.
+`evaluate_loss` calls it to score mutation candidates, building no Tensor,
+and `loss_graph` makes it one tape node over the parameter leaf, chaining
+its VJP through the head's and both networks' into one flat gradient, so
+both compute the same number.
 """
 
 from __future__ import annotations
@@ -163,24 +164,27 @@ def _composite(ac: ActorCritic, logp: np.ndarray, ent, values: np.ndarray, mb: M
 
 def loss_graph(
     ac: ActorCritic,
-    leaves: dict[str, Tensor],
+    leaves: Tensor,
     mb: Minibatch,
     cfg: PpoConfig,
     lambda_div: float = 0.0,
     ema_policy_params: np.ndarray | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Build the total loss on the tape, one node over the actor's log-probs
-    and mean entropy and the critic's values, and report its pieces."""
-    logp, ent = pol.policy_graph(ac, leaves, mb.obs, mb.actions)
-    parents = (logp, ent, pol.values_graph(ac, leaves, mb.obs))
-    breakdown, loss, vjp = _composite(ac, *(t.data for t in parents), mb, cfg, lambda_div, ema_policy_params)
+    """Build the total loss on the tape, one node over the parameter leaf, and
+    report its pieces. Its backward runs `_composite`'s VJP, then the head's
+    and both networks' into one flat gradient."""
+    x = pol._features(ac, mb.obs)
+    logp, ent, policy_vjp = pol.policy_forward(ac, x, mb.actions)
+    values, values_vjp = pol.values_forward(ac, x)
+    breakdown, loss, vjp = _composite(ac, logp, ent, values, mb, cfg, lambda_div, ema_policy_params)
 
-    def backward(g):
-        for parent, grad in zip(parents, vjp(g)):
-            if grad is not None:
-                parent._accum(grad)
+    def fill(g, grad):
+        g_logp, g_ent, g_values = vjp(g)
+        policy_vjp(g_logp, g_ent, grad)
+        if g_values is not None:
+            values_vjp(g_values, grad)
 
-    return Tensor(loss, parents, backward), breakdown
+    return nn.leaf_node(leaves, ac.params.data, loss, fill), breakdown
 
 
 def evaluate_loss(

@@ -1,20 +1,28 @@
 """Tape ops and the tape walk that only the tests use.
 
-The fused `mlp` and `diag_gaussian_logp` ops are checked bit for bit
-against the compositions they replaced, and the `log_softmax_rows` and
-`mean_entropy` nodes against their elementwise compositions to within
-rounding; these are the ops of those compositions that the library itself
-no longer needs. Each keeps its own finite-difference check in
-test_autodiff.py. The loss ops `clipped_surrogate`, `mean_squared_error`
-and `mean_difference`, with `autodiff.add` and `mul`, compose the reference
-graph that `ppo.loss_graph`'s one composite-loss node is checked against,
-bit for bit, in test_ppo.py. `dfs_backward` is the depth-first walk that
-`Tensor.backward` replaced, kept as its reference.
+A gradient step's tape is one leaf over the flat parameter vector and one
+loss node, whose backward runs plain-numpy VJPs (`nn.mlp_vjp`,
+`autodiff.gaussian_logp_vjp`, `log_softmax_vjp`, `categorical_entropy_vjp`).
+The reference composition it is checked against, bit for bit, lives here:
+one leaf per layout entry (`entry_leaves`, `collect_entry_grads`), one
+`mlp` node per network (`forward_batch_t`), the head's `clip`,
+`diag_gaussian_logp`, `log_softmax_rows`, `gather_rows` and `mean_entropy`
+nodes (`policy_graph`, `values_graph`), and the loss ops
+`clipped_surrogate`, `mean_squared_error` and `mean_difference`, which with
+`autodiff.add` and `mul` compose the loss. The fused `mlp` and
+`diag_gaussian_logp` are in turn checked bit for bit against the per-op
+compositions they replaced, and `log_softmax_rows` and `mean_entropy`
+against their elementwise compositions to within rounding, in
+test_autodiff.py, with finite-difference checks. `dfs_backward` is the
+depth-first walk that `Tensor.backward` replaced, kept as its reference.
 """
 
 import numpy as np
 
-from poemrl.autodiff import Tensor, _ensure, _unbroadcast, add, constant, tsum
+from poemrl import nn
+from poemrl import policy as pol
+from poemrl.autodiff import (Tensor, _ensure, _unbroadcast, add, categorical_entropy, constant, gaussian_logp,
+                             log_softmax, tsum)
 
 
 def dfs_backward(root: Tensor) -> None:
@@ -179,3 +187,126 @@ def mean_difference(a, b: np.ndarray) -> Tensor:
         a._accum(np.broadcast_to(g * scale, a.data.shape).copy())
 
     return Tensor((a.data + -b).sum() * scale, (a,), backward)
+
+
+# ---- the one-node ops the parameter leaf's loss node replaced ---------------
+
+
+def clip(a, lo: float, hi: float) -> Tensor:
+    """Clamp to [lo, hi]; gradient passes through only inside the interval."""
+    a = _ensure(a)
+    inside = (a.data >= lo) & (a.data <= hi)
+
+    def backward(g):
+        a._accum(g * inside)
+
+    return Tensor(np.clip(a.data, lo, hi), (a,), backward)
+
+
+def gather_rows(a, index: np.ndarray) -> Tensor:
+    """Pick one column per row: out[i] = a[i, index[i]]."""
+    a = _ensure(a)
+    rows = np.arange(a.data.shape[0])
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, (rows, index), g)
+        a._accum(full)
+
+    return Tensor(a.data[rows, index], (a,), backward)
+
+
+def mlp(x: np.ndarray, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
+    """A network of (W, b) layers, tanh between them, as one node: per layer
+    `x @ W + b`, then tanh except after the last. The input `x` gets no
+    gradient; the VJP repeats those of the per-layer `linear` and `tanh`."""
+    hs = [np.asarray(x, dtype=np.float64)]  # each layer's input, then the output
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        h = hs[-1] @ w.data + b.data
+        hs.append(h if i == last else np.tanh(h))
+
+    def backward(g):
+        for i in range(last, -1, -1):
+            w, b = layers[i]
+            b._accum(_unbroadcast(g, b.data.shape))
+            w._accum(hs[i].T @ g)
+            if i:
+                y = hs[i]
+                g = (g @ w.data.T) * (1.0 - y * y)
+
+    return Tensor(hs[-1], tuple(t for layer in layers for t in layer), backward)
+
+
+def diag_gaussian_logp(mean: Tensor, log_std: Tensor, actions: np.ndarray) -> Tensor:
+    """`gaussian_logp` as one node."""
+    logp, std, diff, z = gaussian_logp(mean.data, log_std.data, actions)
+
+    def backward(g):
+        g_z = (g * -0.5)[:, None] * 2.0 * z
+        g_std = (-g_z * diff / (std * std)).sum(axis=0)
+        log_std._accum(g_std * std + g.sum() * -1.0)
+        mean._accum(g_z / std * -1.0)
+
+    return Tensor(logp, (mean, log_std), backward)
+
+
+def log_softmax_rows(logits: Tensor) -> Tensor:
+    """`log_softmax` as one node."""
+    y = log_softmax(logits.data)
+
+    def backward(g):
+        logits._accum(g - np.exp(y) * g.sum(axis=1, keepdims=True))
+
+    return Tensor(y, (logits,), backward)
+
+
+def mean_entropy(log_p: Tensor) -> Tensor:
+    """`categorical_entropy` as one node."""
+    scale = -1.0 / log_p.data.shape[0]
+
+    def backward(g):
+        log_p._accum((g * scale) * np.exp(log_p.data) * (log_p.data + 1.0))
+
+    return Tensor(categorical_entropy(log_p.data), (log_p,), backward)
+
+
+# ---- the reference graph: one leaf per layout entry ---------------------------
+
+
+def entry_leaves(params: nn.ParamVector) -> dict[str, Tensor]:
+    """One gradient-tracked leaf tensor per layout entry."""
+    return {e.name: Tensor(params.data[e.offset : e.offset + e.size].reshape(e.shape)) for e in params.layout}
+
+
+def collect_entry_grads(leaves: dict[str, Tensor], layout: tuple[nn.LayoutEntry, ...]) -> np.ndarray:
+    """Flatten leaf gradients into layout order; untouched leaves give zeros."""
+    out = np.zeros(sum(e.size for e in layout), dtype=np.float64)
+    for e in layout:
+        g = leaves[e.name].grad
+        if g is not None:
+            out[e.offset : e.offset + e.size] = g.ravel()
+    return out
+
+
+def forward_batch_t(spec: nn.MlpSpec, leaves: dict[str, Tensor], x: np.ndarray, prefix: str = "") -> Tensor:
+    """Tape version of forward_batch, differentiable in the leaves (not in x)."""
+    return mlp(x, [(leaves[f"{prefix}w{i}"], leaves[f"{prefix}b{i}"]) for i in range(spec.n_layers)])
+
+
+def policy_graph(ac: pol.ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray,
+                 actions: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Build (per-sample log-prob (n,), mean entropy scalar) on the tape."""
+    out = forward_batch_t(ac.actor_spec, leaves, pol._features(ac, obs), prefix="actor.")
+    if isinstance(ac.head, pol.DiagGaussianHead):
+        log_std = clip(leaves["log_std"], pol.LOG_STD_MIN, pol.LOG_STD_MAX)
+        logp = diag_gaussian_logp(out, log_std, actions)
+        ent = add(tsum(log_std), constant(pol.GAUSSIAN_ENTROPY_CONST * ac.head.action_dim))
+        return logp, ent
+    log_all = log_softmax_rows(out)
+    return gather_rows(log_all, actions), mean_entropy(log_all)
+
+
+def values_graph(ac: pol.ActorCritic, leaves: dict[str, Tensor], obs: np.ndarray) -> Tensor:
+    out = forward_batch_t(ac.critic_spec, leaves, pol._features(ac, obs), prefix="critic.")
+    return tsum(out, axis=1)  # (n, 1) -> (n,)

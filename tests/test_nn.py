@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poemrl import autodiff as ad
 from poemrl import nn
@@ -79,10 +81,11 @@ def forward_one(spec: MlpSpec, pv: ParamVector, x) -> np.ndarray:
 
 
 def tape_gradient(spec: MlpSpec, pv: ParamVector, x, loss_fn) -> ParamVector:
-    """d(loss_fn(net(x)))/d(params) through the tape path the update uses."""
-    leaves = nn.make_leaves(pv)
-    loss_fn(nn.forward_batch_t(spec, leaves, np.atleast_2d(np.asarray(x, dtype=np.float64)))).backward()
-    return ParamVector(nn.collect_leaf_grads(leaves, pv.layout), pv.layout)
+    """d(loss_fn(net(x)))/d(params) through the reference tape: one leaf per
+    layout entry and one `mlp` node."""
+    leaves = ops.entry_leaves(pv)
+    loss_fn(ops.forward_batch_t(spec, leaves, np.atleast_2d(np.asarray(x, dtype=np.float64)))).backward()
+    return ParamVector(ops.collect_entry_grads(leaves, pv.layout), pv.layout)
 
 
 class TestForward:
@@ -162,7 +165,55 @@ class TestGradient:
             assert max_rel_err(analytic, fd) <= 1e-5
 
 
+    @pytest.mark.parametrize("hidden", [(), (7,), (16, 8, 4)], ids=["no_hidden", "7", "16-8-4"])
+    def test_mlp_vjp_matches_the_mlp_node(self, rng, hidden):
+        # the plain forward and VJP against the one-node tape op, bit for bit,
+        # written into a flat gradient's layer views
+        spec = MlpSpec((3, *hidden, 2))
+        pv = nn.init_params(spec, seed=1)
+        pv.data[:] = rng.normal(scale=0.7, size=len(pv))
+        x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2)) / 3.0
+        layers = nn.layer_views(spec, pv.data)
+        hs = nn.forward_activations(layers, x)
+        grad = np.zeros(len(pv))
+        nn.mlp_vjp(layers, hs, g, nn.layer_views(spec, grad))
+        leaves = ops.entry_leaves(pv)
+        out = ops.forward_batch_t(spec, leaves, x)
+        ad.tsum(ad.mul(out, g)).backward()
+        assert hs[-1].tobytes() == out.data.tobytes() == nn.forward_batch(layers, x).tobytes()
+        assert grad.tobytes() == ops.collect_entry_grads(leaves, pv.layout).tobytes()
+
+
+def textbook_adam(state, params, grad):
+    """Bias-corrected Adam as the one expression per quantity."""
+    t = state.step_count + 1
+    m = nn.ADAM_BETA1 * state.first_moment + (1.0 - nn.ADAM_BETA1) * grad
+    v = nn.ADAM_BETA2 * state.second_moment + (1.0 - nn.ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - nn.ADAM_BETA1**t)
+    v_hat = v / (1.0 - nn.ADAM_BETA2**t)
+    return m, v, params - state.lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
+
+
 class TestAdam:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 300), step=st.integers(0, 10_000), lr=st.floats(1e-6, 1.0),
+           seed=st.integers(0, 2**16), scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e6]))
+    def test_matches_the_textbook_expression_and_writes_no_input(self, n, step, lr, seed, scale):
+        rng = np.random.default_rng(seed)
+        params, grad = rng.normal(size=n), rng.normal(scale=scale, size=n)
+        grad[rng.random(n) < 0.1] = 0.0
+        state = nn.AdamState(rng.normal(scale=scale, size=n), rng.random(n) * scale * scale, step, lr)
+        before = [a.copy() for a in (params, grad, state.first_moment, state.second_moment)]
+        new_state, new_params = nn.adam_step(state, params, grad)
+        m, v, expected = textbook_adam(state, params, grad)
+        assert new_state.first_moment.tobytes() == m.tobytes()
+        assert new_state.second_moment.tobytes() == v.tobytes()
+        assert new_params.tobytes() == expected.tobytes()
+        assert (new_state.step_count, new_state.lr) == (step + 1, lr)
+        for a, b in zip(before, (params, grad, state.first_moment, state.second_moment)):
+            assert a.tobytes() == b.tobytes()
+
+
     def test_zero_gradient_is_identity_for_any_step_count(self):
         state = nn.init_adam(4, lr=0.5)
         params = np.array([1.0, -2.0, 3.0, 0.0])

@@ -92,6 +92,15 @@ class TestDistribution:
         assert [repr(x) for x in std.tolist()] == [repr(x) for x in expected.tolist()]
 
 
+    def test_log_std_clip_has_np_clip_bits(self, rng):
+        # the one clip of log_std that distribution, logp_batch, the entropy and the head's VJP use
+        log_std = np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, pol.LOG_STD_MIN, pol.LOG_STD_MAX,
+                            np.nextafter(pol.LOG_STD_MIN, -math.inf), np.nextafter(pol.LOG_STD_MAX, math.inf),
+                            *rng.normal(scale=15.0, size=50)])
+        clipped = pol._clip_log_std(log_std)
+        assert clipped.tobytes() == np.clip(log_std, pol.LOG_STD_MIN, pol.LOG_STD_MAX).tobytes()
+
+
 class FixedDraw:
     """A generator stand-in whose uniform draw is chosen, so that a draw can
     land exactly on a step of the CDF or above its rounded top."""

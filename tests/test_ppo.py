@@ -1,7 +1,6 @@
 """Clipped surrogate, value loss, and the minibatch update loop."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,7 +67,7 @@ class TestClippedSurrogate:
         adv = np.array([1.0, 1.0, -1.0])
         logp_leaf = ad.Tensor(np.array([1.0, 0.0, 1.0]))  # ratios e, 1, e
         ratio = ops.exp(ad.add(logp_leaf, ad.constant(-logp_old)))
-        clipped = ad.clip(ratio, 0.8, 1.2)
+        clipped = ops.clip(ratio, 0.8, 1.2)
         loss = ad.mul(ad.tmean(ops.minimum(ad.mul(ratio, ad.constant(adv)),
                                            ad.mul(clipped, ad.constant(adv)))), -1.0)
         loss.backward()
@@ -251,35 +250,111 @@ def loss_inputs(draw):
 
 
 class TestCompositeNode:
-    """`loss_graph`'s one composite-loss node against the graph of loss ops
-    it replaces: the same value, pieces and gradients, bit for bit."""
+    """`ppo._composite`'s loss and VJP against the graph of loss ops they
+    replace: the same value, pieces and gradients, bit for bit."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(inputs=loss_inputs())
     def test_matches_the_composed_loss_ops(self, inputs):
         logp, ent, values, ema_logp, mb, cfg, lambda_div, upstream = inputs
         ema_params = np.zeros(1) if lambda_div != 0.0 else None
-        results = []
-        for fused in (True, False):
+        bd, loss, vjp = ppo._composite(None, logp, ent, values, mb, cfg, lambda_div, ema_params, ema_logp)
+        for u in (upstream, -7.0 / 3.0):  # upstream gradients that need not be 1
+            grads = vjp(np.ones(()) * u)
             leaves = [Tensor(x) for x in (logp, ent, values)]
-            if fused:
-                with mock.patch.object(pol, "policy_graph", lambda *_: leaves[:2]), \
-                        mock.patch.object(pol, "values_graph", lambda *_: leaves[2]), \
-                        mock.patch.object(pol, "logp_batch", lambda *_, **__: ema_logp):
-                    loss, bd = ppo.loss_graph(None, {}, mb, cfg, lambda_div, ema_params)
-                assert loss._parents == tuple(leaves)  # one node over the three inputs
-            else:
-                loss, bd = composed_loss(*leaves, mb, cfg, lambda_div, ema_logp)
-            ad.mul(loss, upstream).backward()  # an upstream gradient that need not be 1
-            results.append((loss.data, bd, [leaf.grad for leaf in leaves]))
-        (v, bd, grads), (v_ref, bd_ref, grads_ref) = results
-        assert np.array_equal(v, v_ref) and repr(bd) == repr(bd_ref)
-        assert np.array_equal(grads[0], grads_ref[0])
-        for grad, grad_ref, weight in zip(grads[1:], grads_ref[1:], (cfg.alpha_ent, cfg.alpha_vf)):
-            if weight == 0.0:  # an unweighted term's input is never reached
-                assert grad is None and grad_ref is None
-            else:
-                assert np.array_equal(grad, grad_ref)
+            loss_ref, bd_ref = composed_loss(*leaves, mb, cfg, lambda_div, ema_logp)
+            ad.mul(loss_ref, u).backward()
+            assert np.array_equal(loss, loss_ref.data) and repr(bd) == repr(bd_ref)
+            assert np.array_equal(grads[0], leaves[0].grad)
+            for grad, leaf, weight in zip(grads[1:], leaves[1:], (cfg.alpha_ent, cfg.alpha_vf)):
+                if weight == 0.0:  # an unweighted term passes its input no gradient
+                    assert grad is None and leaf.grad is None
+                else:
+                    assert np.array_equal(grad, leaf.grad)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@st.composite
+def step_inputs(draw):
+    """A small actor-critic of either head with 0-2 hidden layers, random
+    parameters (some log_std outside [LOG_STD_MIN, LOG_STD_MAX]), a random
+    minibatch, loss weights that are each zero or a positive third, the
+    reference policy's parameters and a non-unit upstream gradient."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    obs_dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ac = make_gaussian_ac(obs_dim, draw(st.integers(1, 3)), hidden, seed)
+        ac.params.data[:] = rng.normal(scale=0.7, size=len(ac.params))
+        special = st.sampled_from([-30.0, pol.LOG_STD_MIN, pol.LOG_STD_MAX, 5.0])
+        d = ac.head.action_dim
+        ac.log_std[:] = draw(st.lists(special | st.floats(-3.0, 1.0), min_size=d, max_size=d))
+    else:
+        ac = make_categorical_ac(obs_dim, draw(st.integers(2, 5)), hidden, seed)
+        ac.params.data[:] = rng.normal(scale=0.7, size=len(ac.params))
+    mb = random_minibatch(ac, rng, n=draw(st.integers(1, 20)))
+    weight = st.just(0.0) | st.floats(1e-3, 2.0).map(lambda w: w / 3.0)
+    cfg = small_cfg(alpha_vf=draw(weight), alpha_ent=draw(weight))
+    ema = ac.policy_params() + rng.normal(scale=0.05, size=ac.n_policy)
+    upstream = draw(st.floats(0.1, 3.0).map(lambda u: u / -3.0))
+    return ac, mb, cfg, draw(weight), ema, upstream
+
+
+def reference_loss(ac, mb, cfg, lambda_div, ema):
+    """The composite loss on the reference tape, one leaf per layout entry."""
+    leaves = ops.entry_leaves(ac.params)
+    logp, ent = ops.policy_graph(ac, leaves, mb.obs, mb.actions)
+    ema_logp = pol.logp_batch(ac, mb.obs, mb.actions, policy_params=ema)
+    loss, bd = composed_loss(logp, ent, ops.values_graph(ac, leaves, mb.obs), mb, cfg, lambda_div, ema_logp)
+    return leaves, loss, bd
+
+
+class TestOneNodeTape:
+    """A gradient step's tape is one leaf over the parameter vector and one
+    loss node; its loss, pieces and flat gradient equal those of the
+    reference tape, with one leaf per layout entry and the one-node tape ops
+    of tests/tape_ops.py, bit for bit. So do `policy_graph`'s and
+    `values_graph`'s outputs, each one node over the same leaf."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(inputs=step_inputs())
+    def test_matches_the_reference_tape(self, inputs):
+        ac, mb, cfg, lambda_div, ema, upstream = inputs
+        layout = ac.params.layout
+        leaf = nn.make_leaves(ac.params)
+        loss, bd = ppo.loss_graph(ac, leaf, mb, cfg, lambda_div, ema)
+        assert loss._parents == (leaf,)
+        ad.mul(loss, upstream).backward()
+        leaves, loss_ref, bd_ref = reference_loss(ac, mb, cfg, lambda_div, ema)
+        ad.mul(loss_ref, upstream).backward()
+        assert bits(loss.data) == bits(loss_ref.data) and repr(bd) == repr(bd_ref)
+        assert bits(nn.collect_leaf_grads(leaf, layout)) == bits(ops.collect_entry_grads(leaves, layout))
+
+        weights = np.random.default_rng(len(mb.obs)).normal(size=len(mb.obs)) / 3.0
+        for k in range(3):  # log-probs, entropy, values: each alone
+            results = []
+            for graphs, make in ((pol, nn.make_leaves), (ops, ops.entry_leaves)):
+                leaves = make(ac.params)
+                out = (*graphs.policy_graph(ac, leaves, mb.obs, mb.actions), graphs.values_graph(ac, leaves, mb.obs))[k]
+                ad.tsum(ad.mul(out, weights if k != 1 else upstream)).backward()
+                grad = (nn.collect_leaf_grads(leaves, layout) if graphs is pol
+                        else ops.collect_entry_grads(leaves, layout))
+                results.append((bits(out.data), bits(grad)))
+            assert results[0] == results[1], k
+
+    def test_a_leaf_of_another_parameter_vector_is_refused(self, rng):
+        ac = make_gaussian_ac()
+        mb = random_minibatch(ac, rng)
+        other = nn.make_leaves(ac.with_params(ac.params.data.copy()).params)
+        for build in (lambda leaf: ppo.loss_graph(ac, leaf, mb, small_cfg()),
+                      lambda leaf: pol.policy_graph(ac, leaf, mb.obs, mb.actions),
+                      lambda leaf: pol.values_graph(ac, leaf, mb.obs)):
+            with pytest.raises(ValueError, match="leaf"):
+                build(other)
 
 
 class TestPpoUpdate:
