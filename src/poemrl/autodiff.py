@@ -7,23 +7,16 @@ order. Only the ops that the gradient checks compose are implemented;
 everything is double precision.
 
 A gradient step's tape is one leaf over the flat parameter vector and one
-loss node (`nn.make_leaves`, `ppo.loss_graph`), whose backward runs plain
-numpy VJPs. The policy heads' ones live here, beside the forward functions
-that `policy.logp_batch` calls too: `gaussian_logp`, and the categorical
-`log_softmax` and `categorical_entropy`. Each VJP repeats, op for op, the
-backward of the one-node tape op it replaced (`diag_gaussian_logp`,
-`log_softmax_rows`, `mean_entropy`, kept in tests/tape_ops.py as the
-reference), so both give bit-identical gradients.
+loss node (`nn.make_leaves`, `ppo.loss_graph`), whose backward runs the
+plain-numpy VJPs of the composite loss, the policy head and both networks.
+The arithmetic ops here are the ones criterion 1's gradient checks compose.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 class NumericalError(RuntimeError):
@@ -150,47 +143,3 @@ def tmean(a, axis: int | None = None) -> Tensor:
     a = _ensure(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return mul(tsum(a, axis=axis), 1.0 / n)
-
-
-# ---- the policy heads' log-probs and entropy, and their VJPs ---------------
-
-
-def gaussian_logp(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-row log N(actions | mean, diag(exp(log_std))^2), shape (n,), with
-    the `std`, `diff` and `z` that `gaussian_logp_vjp` reuses.
-
-    `mean` is (n, d) and `log_std` is (d,), already clipped if it should be.
-    """
-    std = np.exp(log_std)
-    diff = actions - mean
-    z = diff / std
-    return (z * z).sum(axis=1) * -0.5 + (log_std.sum() * -1.0 + (-0.5 * LOG_2PI * log_std.size)), std, diff, z
-
-
-def gaussian_logp_vjp(g: np.ndarray, std: np.ndarray, diff: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`gaussian_logp`'s VJP to (`mean`, `log_std`) for an upstream (n,) `g`."""
-    g_z = (g * -0.5)[:, None] * 2.0 * z
-    g_std = (-g_z * diff / (std * std)).sum(axis=0)
-    return g_z / std * -1.0, g_std * std + g.sum() * -1.0
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of (n, k) logits: z - log(sum(exp(z))), with z
-    the logits less their row's max, so no exp overflows."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def log_softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`log_softmax`'s VJP to the logits for an upstream (n, k) `g` and its output `y`."""
-    return g - np.exp(y) * g.sum(axis=1, keepdims=True)
-
-
-def categorical_entropy(log_p: np.ndarray) -> float:
-    """-mean_i sum_j p_ij log p_ij for (n, k) log-probs, with p = exp(log_p)."""
-    return float(-(np.exp(log_p) * log_p).sum(axis=1).mean())
-
-
-def categorical_entropy_vjp(g, log_p: np.ndarray) -> np.ndarray:
-    """`categorical_entropy`'s VJP to `log_p` for a scalar upstream `g`."""
-    return (g * (-1.0 / log_p.shape[0])) * np.exp(log_p) * (log_p + 1.0)

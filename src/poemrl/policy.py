@@ -1,12 +1,17 @@
 """Actor-critic policies over flat parameter vectors.
 
-Two separate networks (no shared trunk): an actor producing either a
-diagonal-Gaussian mean (with one state-independent log-std per action
-dimension) or categorical logits, and a critic producing a scalar value.
-All parameters live in one ParamVector laid out actor | log_std | critic,
-so the leading actor+log_std block is "the policy" for tracking,
-divergence measurement, and mutation. The per-layer views into that vector
-are built once per parameter vector, when an ActorCritic is made.
+Two separate networks (no shared trunk): an actor feeding an action head,
+and a critic producing a scalar value. All parameters live in one
+ParamVector laid out actor | log_std | critic, so the leading
+actor+log_std block is "the policy" for tracking, divergence measurement,
+and mutation. The per-layer views into that vector are built once per
+parameter vector, when an ActorCritic is made.
+
+Each head states its math once: the actor's output width, the
+distribution that acting samples, the mode, and the log-probs with the
+mean entropy and their VJP, which the KL probe, the mutation scorer and
+the tape all run. A VJP repeats, op for op, the backward of the tape ops
+in tests/tape_ops.py, so both give bit-identical gradients.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import nn
 from .autodiff import NumericalError, Tensor
 from .envs import ContinuousSpace
@@ -24,17 +28,38 @@ from .nn import LayoutEntry, MlpSpec, ParamVector
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
+LOG_2PI = math.log(2.0 * math.pi)
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
-@dataclass(frozen=True)
-class DiagGaussianHead:
-    action_dim: int
+def _clip_log_std(log_std: np.ndarray) -> np.ndarray:
+    """np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)'s value, NaN included,
+    without its per-call overhead."""
+    return np.minimum(np.maximum(log_std, LOG_STD_MIN), LOG_STD_MAX)
 
 
-@dataclass(frozen=True)
-class CategoricalHead:
-    n_actions: int
+def gaussian_logp(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-row log N(actions | mean, diag(exp(log_std))^2), shape (n,), with
+    the `std`, `diff` and `z` that its VJP reuses.
+
+    `mean` is (n, d) and `log_std` is (d,), already clipped if it should be.
+    """
+    std = np.exp(log_std)
+    diff = actions - mean
+    z = diff / std
+    return (z * z).sum(axis=1) * -0.5 + (log_std.sum() * -1.0 + (-0.5 * LOG_2PI * log_std.size)), std, diff, z
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of (n, k) logits: z - log(sum(exp(z))), with z
+    the logits less their row's max, so no exp overflows."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def categorical_entropy(log_p: np.ndarray) -> float:
+    """-mean_i sum_j p_ij log p_ij for (n, k) log-probs, with p = exp(log_p)."""
+    return float(-(np.exp(log_p) * log_p).sum(axis=1).mean())
 
 
 @dataclass(frozen=True)
@@ -44,10 +69,102 @@ class DiagGaussian:
     mean: np.ndarray
     std: np.ndarray
 
+    def sample(self, rngs: list[np.random.Generator]) -> np.ndarray:
+        """A float64 (E, action_dim) array, row i drawn from rngs[i] in row order."""
+        return self.mean + self.std * np.array([rng.standard_normal(self.std.shape) for rng in rngs])
+
 
 @dataclass(frozen=True)
 class Categorical:
     probs: np.ndarray  # (E, n_actions)
+
+    def sample(self, rngs: list[np.random.Generator]) -> np.ndarray:
+        """An int64 (E,) array of action indices, row i drawn from rngs[i] in row order."""
+        # inverse-CDF draw so replaying the generator state replays the action
+        cdf = np.cumsum(self.probs, axis=1)
+        drawn = np.array([np.searchsorted(row, rng.random(), side="right") for row, rng in zip(cdf, rngs)])
+        return drawn.clip(0, cdf.shape[1] - 1)
+
+
+@dataclass(frozen=True)
+class DiagGaussianHead:
+    """The actor's (n, action_dim) output is the means; the raw `log_std`
+    is clipped to [LOG_STD_MIN, LOG_STD_MAX] wherever it is read."""
+
+    action_dim: int
+
+    @property
+    def out_dim(self) -> int:
+        return self.action_dim
+
+    n_log_std = out_dim  # one log-std per action dimension
+
+    def distribution(self, out: np.ndarray, log_std: np.ndarray) -> DiagGaussian:
+        return DiagGaussian(mean=out, std=np.exp(_clip_log_std(log_std)))
+
+    def mode(self, out: np.ndarray) -> np.ndarray:
+        return out
+
+    def entropy(self, actor_out, log_std: np.ndarray) -> float:
+        """The entropy, the same in every state: `actor_out` is not called."""
+        return float(_clip_log_std(log_std).sum() + GAUSSIAN_ENTROPY_CONST * self.action_dim)
+
+    def logp(self, out: np.ndarray, log_std: np.ndarray, actions: np.ndarray):
+        """Log-probs (n,) of `actions`, the mean entropy, and `vjp(g_logp, g_ent)`
+        to (`out`, `log_std`), which adds the entropy's gradient first, as
+        `Tensor.backward` did; a None upstream passes nothing."""
+        clipped = _clip_log_std(log_std)
+        logp, std, diff, z = gaussian_logp(out, clipped, actions)
+
+        def vjp(g_logp, g_ent):
+            g_out, g_clipped = None, (None if g_ent is None else np.broadcast_to(g_ent, clipped.shape))
+            if g_logp is not None:
+                g_z = (g_logp * -0.5)[:, None] * 2.0 * z
+                g_std = (-g_z * diff / (std * std)).sum(axis=0)
+                g_out, g_logp_clipped = g_z / std * -1.0, g_std * std + g_logp.sum() * -1.0
+                g_clipped = g_logp_clipped if g_clipped is None else g_clipped + g_logp_clipped
+            inside = (log_std >= LOG_STD_MIN) & (log_std <= LOG_STD_MAX)  # where the clip passes a gradient
+            return g_out, g_clipped * inside
+
+        return logp, self.entropy(None, log_std), vjp
+
+
+@dataclass(frozen=True)
+class CategoricalHead:
+    """The actor's (n, n_actions) output is the logits."""
+
+    n_actions: int
+    n_log_std = 0
+
+    @property
+    def out_dim(self) -> int:
+        return self.n_actions
+
+    def distribution(self, out: np.ndarray, log_std: np.ndarray) -> Categorical:
+        z = out - out.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return Categorical(probs=e / e.sum(axis=-1, keepdims=True))
+
+    def mode(self, out: np.ndarray) -> np.ndarray:
+        return self.distribution(out, None).probs.argmax(axis=1)
+
+    def entropy(self, actor_out, log_std: np.ndarray) -> float:
+        """The mean entropy over the states whose logits `actor_out()` returns."""
+        return categorical_entropy(log_softmax(actor_out()))
+
+    def logp(self, out: np.ndarray, log_std: np.ndarray, actions: np.ndarray):
+        """As `DiagGaussianHead.logp`; the VJP's second output, to `log_std`, is None."""
+        log_p, rows = log_softmax(out), np.arange(len(actions))
+
+        def vjp(g_logp, g_ent):
+            g = None if g_ent is None else (g_ent * (-1.0 / log_p.shape[0])) * np.exp(log_p) * (log_p + 1.0)
+            if g_logp is not None:
+                g_gathered = np.zeros_like(log_p)
+                np.add.at(g_gathered, (rows, actions), g_logp)
+                g = g_gathered if g is None else g + g_gathered
+            return g - np.exp(log_p) * g.sum(axis=1, keepdims=True), None
+
+        return log_p[rows, actions], categorical_entropy(log_p), vjp
 
 
 @dataclass
@@ -92,8 +209,7 @@ class ActorCritic:
         # small final layer keeps fresh action distributions near-uniform
         actor = nn.init_params(actor_spec, int(actor_seed), final_layer_scale=0.01)
         critic = nn.init_params(critic_spec, int(critic_seed))
-        n_log_std = sum(e.size for e in layout) - actor_spec.n_params - critic_spec.n_params
-        data = np.concatenate([actor.data, np.full(n_log_std, float(log_std_init)), critic.data])
+        data = np.concatenate([actor.data, np.full(head.n_log_std, float(log_std_init)), critic.data])
         return cls(actor_spec, critic_spec, head, ParamVector(data, layout), obs_scale)
 
     @property
@@ -121,32 +237,17 @@ def param_layout(
     """The actor and critic specs and the actor | log_std | critic layout of
     their one parameter vector. Sizes only: nothing is allocated, so a
     caller can check a parameter count before building a network."""
-    gaussian = isinstance(head, DiagGaussianHead)
-    out_dim = head.action_dim if gaussian else head.n_actions
-    actor_spec = MlpSpec((obs_dim, *hidden_sizes, out_dim))
+    actor_spec = MlpSpec((obs_dim, *hidden_sizes, head.out_dim))
     critic_spec = MlpSpec((obs_dim, *hidden_sizes, 1))
     layout = nn.mlp_layout(actor_spec, "actor.")
-    offset = actor_spec.n_params
-    if gaussian:
-        layout += (LayoutEntry("log_std", (out_dim,), offset, out_dim),)
-        offset += out_dim
-    return actor_spec, critic_spec, layout + nn.mlp_layout(critic_spec, "critic.", offset)
-
-
-def _clip_log_std(log_std: np.ndarray) -> np.ndarray:
-    """np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)'s value, NaN included,
-    without its per-call overhead."""
-    return np.minimum(np.maximum(log_std, LOG_STD_MIN), LOG_STD_MAX)
+    offset, n = actor_spec.n_params, head.n_log_std
+    if n:
+        layout += (LayoutEntry("log_std", (n,), offset, n),)
+    return actor_spec, critic_spec, layout + nn.mlp_layout(critic_spec, "critic.", offset + n)
 
 
 def _features(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
     return np.asarray(obs, dtype=np.float64) * ac.obs_scale
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---- acting: one distribution per stacked actor pass ---------------------
@@ -157,22 +258,16 @@ def distribution(ac: ActorCritic, obs) -> DiagGaussian | Categorical:
     current parameters, one row each. The actor runs once on the stacked
     (E, 1, obs_dim) input, so each row rounds exactly as a one-row pass
     would; a 2-D (E, obs_dim) pass would not."""
-    out = _actor_pass(ac, obs)
-    if isinstance(ac.head, DiagGaussianHead):
-        return DiagGaussian(mean=out, std=np.exp(_clip_log_std(ac.log_std)))
-    return Categorical(probs=_softmax_rows(out))
+    return ac.head.distribution(_actor_pass(ac, obs), ac.log_std)
 
 
 def act(ac: ActorCritic, obs: np.ndarray, rngs: list[np.random.Generator] | None = None) -> np.ndarray:
-    """Actions for a float64 (E, obs_dim) batch. Without `rngs`, the mode of
-    one stacked actor pass: the means as an (E, action_dim) array, or each
-    probs row's argmax. With them, `sample(distribution(ac, obs), rngs)`."""
+    """Actions for a float64 (E, obs_dim) batch. Without `rngs`, the head's
+    mode of one stacked actor pass: the means as an (E, action_dim) array,
+    or each probs row's argmax. With them, `distribution(ac, obs).sample(rngs)`."""
     if rngs is not None:
-        return sample(distribution(ac, obs), rngs)
-    out = _actor_pass(ac, obs)
-    if isinstance(ac.head, DiagGaussianHead):
-        return out
-    return _softmax_rows(out).argmax(axis=1)
+        return distribution(ac, obs).sample(rngs)
+    return ac.head.mode(_actor_pass(ac, obs))
 
 
 def _actor_pass(ac: ActorCritic, obs) -> np.ndarray:
@@ -183,17 +278,6 @@ def _actor_pass(ac: ActorCritic, obs) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericalError("actor network produced non-finite output")
     return out
-
-
-def sample(dist: DiagGaussian | Categorical, rngs: list[np.random.Generator]) -> np.ndarray:
-    """One action per row, row i drawn from rngs[i] in row order: a float64
-    (E, action_dim) array, or an int64 (E,) array of action indices."""
-    if isinstance(dist, DiagGaussian):
-        return dist.mean + dist.std * np.array([rng.standard_normal(dist.std.shape) for rng in rngs])
-    # inverse-CDF draw so replaying the generator state replays the action
-    cdf = np.cumsum(dist.probs, axis=1)
-    drawn = np.array([np.searchsorted(row, rng.random(), side="right") for row, rng in zip(cdf, rngs)])
-    return drawn.clip(0, cdf.shape[1] - 1)
 
 
 def value(ac: ActorCritic, obs) -> float:
@@ -226,62 +310,24 @@ def logp_batch(
     else:
         flat = np.asarray(policy_params, dtype=np.float64)
         layers, log_std = nn.layer_views(ac.actor_spec, flat), flat[ac.actor_spec.n_params : ac.n_policy]
-    out = nn.forward_batch(layers, _features(ac, obs))
-    if isinstance(ac.head, DiagGaussianHead):
-        logp = ad.gaussian_logp(out, _clip_log_std(log_std), actions)[0]
-    else:
-        out = ad.log_softmax(out)  # every action's log-prob, which the entropy reads too
-        logp = out[np.arange(len(actions)), actions]
-    return (logp, _entropy(ac, out, log_std)) if with_entropy else logp
-
-
-def _entropy(ac: ActorCritic, log_p: np.ndarray | None, log_std: np.ndarray) -> float:
-    if isinstance(ac.head, DiagGaussianHead):
-        return float(_clip_log_std(log_std).sum() + GAUSSIAN_ENTROPY_CONST * ac.head.action_dim)
-    return ad.categorical_entropy(log_p)
+    logp, ent, _ = ac.head.logp(nn.forward_batch(layers, _features(ac, obs)), log_std, actions)
+    return (logp, ent) if with_entropy else logp
 
 
 def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:
     """Mean per-state policy entropy over a batch of observations."""
-    if isinstance(ac.head, DiagGaussianHead):
-        return _entropy(ac, None, ac.log_std)
-    return _entropy(ac, ad.log_softmax(nn.forward_batch(ac.actor_layers, _features(ac, obs))), ac.log_std)
+    return ac.head.entropy(lambda: nn.forward_batch(ac.actor_layers, _features(ac, obs)), ac.log_std)
 
 
 # ---- tape paths: outputs with a VJP into a flat gradient laid out like params
 
 
-def _plus(first, second):
-    """first + second, where a None term passes nothing."""
-    return second if first is None else first if second is None else first + second
-
-
 def policy_forward(ac: ActorCritic, x: np.ndarray, actions: np.ndarray):
     """The actor on features `x`: log-probs (n,) of `actions`, mean entropy,
     and `vjp(g_logp, g_ent, grad)`, writing the actor's and log_std's part of
-    `grad`; a None upstream passes nothing. Where both feed one input, the
-    entropy's gradient is added first, as `Tensor.backward` did."""
+    `grad`; a None upstream passes nothing."""
     hs = nn.forward_activations(ac.actor_layers, x)
-    if isinstance(ac.head, DiagGaussianHead):
-        clipped = _clip_log_std(ac.log_std)
-        inside = (ac.log_std >= LOG_STD_MIN) & (ac.log_std <= LOG_STD_MAX)
-        logp, std, diff, z = ad.gaussian_logp(hs[-1], clipped, actions)
-        ent = _entropy(ac, None, ac.log_std)
-
-        def head_vjp(g_logp, g_ent):
-            g_out, g_clipped = (None, None) if g_logp is None else ad.gaussian_logp_vjp(g_logp, std, diff, z)
-            return g_out, _plus(None if g_ent is None else np.broadcast_to(g_ent, clipped.shape), g_clipped) * inside
-    else:
-        log_p, rows = ad.log_softmax(hs[-1]), np.arange(len(actions))
-        logp, ent = log_p[rows, actions], _entropy(ac, log_p, ac.log_std)
-
-        def head_vjp(g_logp, g_ent):
-            g = None
-            if g_logp is not None:
-                g = np.zeros_like(log_p)
-                np.add.at(g, (rows, actions), g_logp)
-            g_ent = None if g_ent is None else ad.categorical_entropy_vjp(g_ent, log_p)
-            return ad.log_softmax_vjp(_plus(g_ent, g), log_p), None
+    logp, ent, head_vjp = ac.head.logp(hs[-1], ac.log_std, actions)
 
     def vjp(g_logp, g_ent, grad: np.ndarray) -> None:
         g_out, g_log_std = head_vjp(g_logp, g_ent)

@@ -1,7 +1,7 @@
 """The per-row acting path that the library's batched one replaced.
 
-`policy.distribution` returns one object for a whole stacked actor pass and
-`policy.sample` draws every row of it. Here each observation gets its own
+`policy.distribution` returns one object for a whole stacked actor pass,
+and its `sample` draws every row of it. Here each observation gets its own
 one-row actor pass, its own distribution object and its own draw, as the
 library once did; the batched path is checked against these bit for bit.
 """

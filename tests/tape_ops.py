@@ -1,8 +1,8 @@
 """Tape ops and the tape walk that only the tests use.
 
 A gradient step's tape is one leaf over the flat parameter vector and one
-loss node, whose backward runs plain-numpy VJPs (`nn.mlp_vjp`,
-`autodiff.gaussian_logp_vjp`, `log_softmax_vjp`, `categorical_entropy_vjp`).
+loss node, whose backward runs plain-numpy VJPs (`nn.mlp_vjp` and the
+policy head's, in `DiagGaussianHead.logp` and `CategoricalHead.logp`).
 The reference composition it is checked against, bit for bit, lives here:
 one leaf per layout entry (`entry_leaves`, `collect_entry_grads`), one
 `mlp` node per network (`forward_batch_t`), the head's `clip`,
@@ -21,8 +21,8 @@ import numpy as np
 
 from poemrl import nn
 from poemrl import policy as pol
-from poemrl.autodiff import (Tensor, _ensure, _unbroadcast, add, categorical_entropy, constant, gaussian_logp,
-                             log_softmax, tsum)
+from poemrl.autodiff import Tensor, _ensure, _unbroadcast, add, constant, tsum
+from poemrl.policy import categorical_entropy, gaussian_logp, log_softmax
 
 
 def dfs_backward(root: Tensor) -> None:

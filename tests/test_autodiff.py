@@ -144,7 +144,7 @@ def gaussian_logp_ref(mean, log_std, actions):
     z = ops.div(ad.add(ad.constant(actions), ad.mul(mean, -1.0)), ops.exp(log_std))
     return ad.add(
         ad.mul(ad.tsum(ad.square(z), axis=1), -0.5),
-        ad.add(ad.mul(ad.tsum(log_std), -1.0), ad.constant(-0.5 * ad.LOG_2PI * d)),
+        ad.add(ad.mul(ad.tsum(log_std), -1.0), ad.constant(-0.5 * pol.LOG_2PI * d)),
     )
 
 
@@ -335,7 +335,7 @@ def test_log_softmax_rows_matches_its_composition(rng):
 
 
 def test_mean_entropy_matches_its_composition(rng):
-    log_p = ad.log_softmax(rng.normal(scale=3.0, size=(5, 4)))
+    log_p = pol.log_softmax(rng.normal(scale=3.0, size=(5, 4)))
     assert_matches_to_rounding(ops.mean_entropy, mean_entropy_ref, log_p, np.array(1.3))
 
 
@@ -357,12 +357,12 @@ def test_categorical_nodes_on_tied_and_spread_rows(logits):
     n, k = logits.shape
     rng = np.random.default_rng(10 * n + k)
     weights = rng.normal(size=(n, k))
-    log_p = ad.log_softmax(logits)
+    log_p = pol.log_softmax(logits)
     for build, x in ((lambda t: ad.tsum(ad.mul(ops.log_softmax_rows(t), weights)), logits),
                      (lambda t: ad.mul(ops.mean_entropy(t), 1.7), log_p)):
         # absolute slack for the rounding of logits near 1e3 in the differences
         assert np.allclose(grad_of(build, x), fd_of(build, x, x.shape), rtol=1e-5, atol=1e-5)
-    assert 0.0 <= ad.categorical_entropy(log_p) <= math.log(k) + 1e-12
+    assert 0.0 <= pol.categorical_entropy(log_p) <= math.log(k) + 1e-12
     # an identity linear actor puts the logits out as its output
     ac = ActorCritic.create(k, CategoricalHead(k), (), seed=0)
     ((w, b),) = ac.actor_layers

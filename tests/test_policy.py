@@ -143,27 +143,27 @@ class TestSample:
         ac.params.data[ac.actor_spec.n_params] = -1e9  # log_std below the floor
         dist = pol.distribution(ac, [[0.1, 0.1]])
         assert dist.std[0] == math.exp(pol.LOG_STD_MIN)
-        action = pol.sample(dist, [np.random.default_rng(5)])
+        action = dist.sample([np.random.default_rng(5)])
         assert abs(action[0, 0] - dist.mean[0, 0]) < 1e-7
 
     def test_replay_is_identical(self):
         g = DiagGaussian(mean=np.array([[0.0]]), std=np.array([1.0]))
-        a1 = pol.sample(g, [np.random.default_rng(77)])
-        a2 = pol.sample(g, [np.random.default_rng(77)])
+        a1 = g.sample([np.random.default_rng(77)])
+        a2 = g.sample([np.random.default_rng(77)])
         assert np.array_equal(a1, a2)
         c = Categorical(probs=np.array([[0.1, 0.2, 0.7]]))
-        assert pol.sample(c, [np.random.default_rng(9)]) == pol.sample(c, [np.random.default_rng(9)])
+        assert c.sample([np.random.default_rng(9)]) == c.sample([np.random.default_rng(9)])
 
     def test_inverse_cdf_hits_all_bins(self, rng):
         c = Categorical(probs=np.tile([0.5, 0.25, 0.25], (2000, 1)))
-        draws = pol.sample(c, [rng] * 2000)
+        draws = c.sample([rng] * 2000)
         counts = np.bincount(draws, minlength=3) / 2000
         assert np.allclose(counts, c.probs[0], atol=0.05)
 
     def test_draw_above_the_rounded_top_takes_the_last_action(self):
         c = Categorical(probs=np.array([[0.7380289979116733, 0.21375794350507327, 0.04821305858325322]]))
         assert np.cumsum(c.probs, axis=1)[0, -1] < 1.0 - 2.0**-53  # the CDF rounds to below the largest draw
-        assert pol.sample(c, [FixedDraw(1.0 - 2.0**-53)]).tolist() == [2]
+        assert c.sample([FixedDraw(1.0 - 2.0**-53)]).tolist() == [2]
 
 
 # near-zero, tied and ordinary weights; each row is normalised to sum to 1
@@ -216,7 +216,7 @@ def row_of(dist, i):
 @given(batched_distributions())
 def test_batched_sample_equals_per_row_draws(case):
     dist, make_rngs = case
-    got = pol.sample(dist, make_rngs())
+    got = dist.sample(make_rngs())
     want = np.array([sample_row(row_of(dist, i), rng) for i, rng in enumerate(make_rngs())])
     assert got.dtype == want.dtype and got.shape == want.shape
     assert [repr(x) for x in got.ravel().tolist()] == [repr(x) for x in want.ravel().tolist()]

@@ -187,9 +187,12 @@ class TestValuePathMatchesTape:
 
 
 class TestBackwardOrder:
-    """`Tensor.backward` walks the loss graph in reverse creation order; on
-    every graph `loss_graph` builds, that gives each leaf the gradient the
-    depth-first walk it replaced gives, bit for bit."""
+    """`Tensor.backward` walks a deep graph in a valid reverse topological
+    order: on the reference tape (one leaf per layout entry and the one-node
+    ops of tests/tape_ops.py) each leaf gets the gradient that the
+    depth-first walk it replaced gives, bit for bit. No node there has three
+    consumers, so every valid order gives the same bits, and an invalid one
+    runs a node before all of its consumers have added to its gradient."""
 
     @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
     def test_matches_the_depth_first_walk(self, rng, make):
@@ -203,9 +206,9 @@ class TestBackwardOrder:
             ema = ac.policy_params() + rng.normal(scale=0.05, size=ac.n_policy)
             grads = []
             for walk in (ops.dfs_backward, Tensor.backward):
-                leaves = nn.make_leaves(ac.params)
-                walk(ppo.loss_graph(ac, leaves, mb, cfg, lambda_div, ema)[0])
-                grads.append(nn.collect_leaf_grads(leaves, ac.params.layout))
+                leaves, loss, _ = reference_loss(ac, mb, cfg, lambda_div, ema)
+                walk(loss)
+                grads.append(ops.collect_entry_grads(leaves, ac.params.layout))
             assert np.array_equal(*grads), k
 
 
