@@ -133,8 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(all="ignore"):  # a non-finite result is one error line, not a warning per op
             _run(args)
-    except (ConfigError, NumericalError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ConfigError, MemoryError, NumericalError, OSError, ValueError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
     return 0
 

@@ -201,18 +201,19 @@ def train(config: RunConfig) -> TrainResult:
     config snapshot, metrics CSV (each update's rows flushed as it ends),
     and checkpoints."""
     out_dir = _empty_out_dir(config.out_dir)
+    streams = derive_streams(config.seed)
+    env = make_env(config.env_id)
+    obs = env.reset(seed=streams.env_seed)
+    # allocated before any file is written, so a network too large leaves the out dir empty
+    ac = build_actor_critic(env, config.hidden_sizes, streams.param_seed, config.log_std_init)
+    adam_state = nn.init_adam(len(ac.params), lr=config.ppo.learning_rate)
+    tracker = poem.init_tracker(ac, config.poem.beta)
+
     config_path = out_dir / "config.ini"
     with _atomic_open(config_path, "w", encoding="utf-8") as fh:
         fh.write(config_to_text(config))
     metrics_path = out_dir / "metrics.csv"
     final_path = out_dir / "checkpoint_final.bin"
-
-    streams = derive_streams(config.seed)
-    env = make_env(config.env_id)
-    obs = env.reset(seed=streams.env_seed)
-    ac = build_actor_critic(env, config.hidden_sizes, streams.param_seed, config.log_std_init)
-    adam_state = nn.init_adam(len(ac.params), lr=config.ppo.learning_rate)
-    tracker = poem.init_tracker(ac, config.poem.beta)
 
     global_step = 0
     update = 0

@@ -41,6 +41,14 @@ class MlpSpec:
         sizes = self.layer_sizes
         return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(self.n_layers))
 
+    @cached_property
+    def view_plan(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+        """Per layer, the W slice, W shape and b slice of `mlp_layout(self)`,
+        worked out once, for `layer_views`."""
+        entries = mlp_layout(self)
+        return tuple((slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
+                     for w, b in zip(entries[::2], entries[1::2]))
+
 
 class LayoutEntry(NamedTuple):
     name: str
@@ -62,6 +70,16 @@ def mlp_layout(spec: MlpSpec, prefix: str = "", offset: int = 0) -> tuple[Layout
     return tuple(entries)
 
 
+def _flat_data(data, n: int) -> np.ndarray:
+    """`data` as a contiguous float64 vector of `n` values, or a ValueError."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 1:  # checked before ascontiguousarray, which makes 0-d data 1-d
+        raise ValueError("parameter data must be one-dimensional")
+    if len(data) != n:
+        raise ValueError(f"layout covers {n} values, data has {len(data)}")
+    return np.ascontiguousarray(data)
+
+
 @dataclass
 class ParamVector:
     """Flat, ordered view of network parameters with a named layout."""
@@ -70,12 +88,7 @@ class ParamVector:
     layout: tuple[LayoutEntry, ...]
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.ndim != 1:
-            raise ValueError("parameter data must be one-dimensional")
-        expected = sum(e.size for e in self.layout)
-        if len(self.data) != expected:
-            raise ValueError(f"layout covers {expected} values, data has {len(self.data)}")
+        self.data = _flat_data(self.data, sum(e.size for e in self.layout))
         pos = 0
         for e in self.layout:
             if e.offset != pos:
@@ -92,17 +105,19 @@ class ParamVector:
         raise KeyError(name)
 
     def with_data(self, data: np.ndarray) -> "ParamVector":
-        return ParamVector(data, self.layout)
+        """This layout over new data; the layout was checked when this vector
+        was made, so only the data's rank and length are."""
+        new = object.__new__(ParamVector)
+        new.data, new.layout = _flat_data(data, len(self.data)), self.layout
+        return new
 
 
 def layer_views(spec: MlpSpec, flat: np.ndarray, offset: int = 0) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-layer (W, b) views into `flat`, for a net whose block starts at
     `offset`; in-place writes to `flat` show through them."""
-    entries = mlp_layout(spec, "", offset)
-    return tuple(
-        (flat[w.offset : w.offset + w.size].reshape(w.shape), flat[b.offset : b.offset + b.size])
-        for w, b in zip(entries[::2], entries[1::2])
-    )
+    if offset:
+        flat = flat[offset:]
+    return tuple((flat[w].reshape(shape), flat[b]) for w, shape, b in spec.view_plan)
 
 
 # ---- serialization: <u32 length><little-endian float64 values> ----------
@@ -167,8 +182,8 @@ def mlp_vjp(layers, activations: list[np.ndarray], g: np.ndarray, grad_layers) -
     `layer_views`). The input gets none."""
     for i in range(len(layers) - 1, -1, -1):
         g_w, g_b = grad_layers[i]
-        g_b[...] = g.sum(axis=0)
-        g_w[...] = activations[i].T @ g
+        g.sum(axis=0, out=g_b)
+        np.matmul(activations[i].T, g, out=g_w)
         if i:
             y = activations[i]
             g = (g @ layers[i][0].T) * (1.0 - y * y)

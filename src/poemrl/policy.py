@@ -8,16 +8,17 @@ and mutation. The per-layer views into that vector are built once per
 parameter vector, when an ActorCritic is made.
 
 Each head states its math once: the actor's output width, the
-distribution that acting samples, the mode, and the log-probs with the
-mean entropy and their VJP, which the KL probe, the mutation scorer and
-the tape all run. A VJP repeats, op for op, the backward of the tape ops
+distribution that acting samples, the one-row sampler that a rollout
+makes once, the mode, and the log-probs with their VJP, which the KL
+probe, the mutation scorer and the tape all run; the mean entropy is
+computed only for a caller that asks for it. A VJP repeats, op for op, the backward of the tape ops
 in tests/tape_ops.py, so both give bit-identical gradients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +63,19 @@ def categorical_entropy(log_p: np.ndarray) -> float:
     return float(-(np.exp(log_p) * log_p).sum(axis=1).mean())
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, max-shifted so no exp overflows."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _inverse_cdf(cdf: np.ndarray, u: float) -> np.intp:
+    """The index that uniform draw `u` picks from a (k,) CDF. Searching all
+    but its last entry clips the index to k - 1, for a CDF that rounds to
+    below the draw; replaying the generator state replays the index."""
+    return cdf[:-1].searchsorted(u, side="right")
+
+
 @dataclass(frozen=True)
 class DiagGaussian:
     """Unsquashed Gaussian actions: (E, action_dim) means, one (action_dim,) std."""
@@ -80,10 +94,7 @@ class Categorical:
 
     def sample(self, rngs: list[np.random.Generator]) -> np.ndarray:
         """An int64 (E,) array of action indices, row i drawn from rngs[i] in row order."""
-        # inverse-CDF draw so replaying the generator state replays the action
-        cdf = np.cumsum(self.probs, axis=1)
-        drawn = np.array([np.searchsorted(row, rng.random(), side="right") for row, rng in zip(cdf, rngs)])
-        return drawn.clip(0, cdf.shape[1] - 1)
+        return np.array([_inverse_cdf(row, rng.random()) for row, rng in zip(self.probs.cumsum(axis=1), rngs)])
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,12 @@ class DiagGaussianHead:
     def distribution(self, out: np.ndarray, log_std: np.ndarray) -> DiagGaussian:
         return DiagGaussian(mean=out, std=np.exp(_clip_log_std(log_std)))
 
+    def sampler(self, log_std: np.ndarray):
+        """`draw(out, rng)`: one action from one state's (action_dim,) means,
+        as `DiagGaussian.sample` draws a row; the std is computed here, once."""
+        std = np.exp(_clip_log_std(log_std))
+        return lambda out, rng: out + std * rng.standard_normal(std.shape)
+
     def mode(self, out: np.ndarray) -> np.ndarray:
         return out
 
@@ -109,10 +126,11 @@ class DiagGaussianHead:
         """The entropy, the same in every state: `actor_out` is not called."""
         return float(_clip_log_std(log_std).sum() + GAUSSIAN_ENTROPY_CONST * self.action_dim)
 
-    def logp(self, out: np.ndarray, log_std: np.ndarray, actions: np.ndarray):
-        """Log-probs (n,) of `actions`, the mean entropy, and `vjp(g_logp, g_ent)`
-        to (`out`, `log_std`), which adds the entropy's gradient first, as
-        `Tensor.backward` did; a None upstream passes nothing."""
+    def logp(self, out: np.ndarray, log_std: np.ndarray, actions: np.ndarray, with_entropy: bool = False):
+        """Log-probs (n,) of `actions`, the mean entropy (None unless
+        `with_entropy`), and `vjp(g_logp, g_ent)` to (`out`, `log_std`), which
+        adds the entropy's gradient first, as `Tensor.backward` did; a None
+        upstream passes nothing."""
         clipped = _clip_log_std(log_std)
         logp, std, diff, z = gaussian_logp(out, clipped, actions)
 
@@ -126,7 +144,7 @@ class DiagGaussianHead:
             inside = (log_std >= LOG_STD_MIN) & (log_std <= LOG_STD_MAX)  # where the clip passes a gradient
             return g_out, g_clipped * inside
 
-        return logp, self.entropy(None, log_std), vjp
+        return logp, self.entropy(None, log_std) if with_entropy else None, vjp
 
 
 @dataclass(frozen=True)
@@ -141,9 +159,12 @@ class CategoricalHead:
         return self.n_actions
 
     def distribution(self, out: np.ndarray, log_std: np.ndarray) -> Categorical:
-        z = out - out.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return Categorical(probs=e / e.sum(axis=-1, keepdims=True))
+        return Categorical(probs=_softmax(out))
+
+    def sampler(self, log_std: np.ndarray):
+        """`draw(out, rng)`: one action index from one state's (n_actions,)
+        logits, as `Categorical.sample` draws a row."""
+        return lambda out, rng: _inverse_cdf(_softmax(out).cumsum(), rng.random())
 
     def mode(self, out: np.ndarray) -> np.ndarray:
         return self.distribution(out, None).probs.argmax(axis=1)
@@ -152,7 +173,7 @@ class CategoricalHead:
         """The mean entropy over the states whose logits `actor_out()` returns."""
         return categorical_entropy(log_softmax(actor_out()))
 
-    def logp(self, out: np.ndarray, log_std: np.ndarray, actions: np.ndarray):
+    def logp(self, out: np.ndarray, log_std: np.ndarray, actions: np.ndarray, with_entropy: bool = False):
         """As `DiagGaussianHead.logp`; the VJP's second output, to `log_std`, is None."""
         log_p, rows = log_softmax(out), np.arange(len(actions))
 
@@ -164,7 +185,7 @@ class CategoricalHead:
                 g = g_gathered if g is None else g + g_gathered
             return g - np.exp(log_p) * g.sum(axis=1, keepdims=True), None
 
-        return log_p[rows, actions], categorical_entropy(log_p), vjp
+        return log_p[rows, actions], categorical_entropy(log_p) if with_entropy else None, vjp
 
 
 @dataclass
@@ -187,11 +208,15 @@ class ActorCritic:
         self.obs_scale = np.asarray(self.obs_scale, dtype=np.float64)
         if self.obs_scale.shape != (obs_dim,) or not np.all(np.isfinite(self.obs_scale)):
             raise ValueError(f"obs_scale must be {obs_dim} finite numbers, got {self.obs_scale.tolist()}")
-        n_actor = self.actor_spec.n_params
         self.n_policy = len(self.params) - self.critic_spec.n_params  # the critic's block comes last
-        data = self.params.data
+        self._view(self.params)
+
+    def _view(self, params: ParamVector) -> None:
+        """Hold `params` and its per-layer and log_std views."""
+        data = params.data
+        self.params = params
         self.actor_layers = nn.layer_views(self.actor_spec, data)
-        self.log_std = data[n_actor : self.n_policy]
+        self.log_std = data[self.actor_spec.n_params : self.n_policy]
         self.critic_layers = nn.layer_views(self.critic_spec, data, self.n_policy)
 
     @classmethod
@@ -220,7 +245,12 @@ class ActorCritic:
         return self.params.data[self.policy_slice].copy()
 
     def with_params(self, data: np.ndarray) -> "ActorCritic":
-        return replace(self, params=self.params.with_data(data))
+        """This policy over new parameter data, which is checked for rank and
+        length; the layout and obs_scale were checked when this one was made."""
+        new = object.__new__(ActorCritic)
+        new.__dict__.update(self.__dict__)
+        new._view(self.params.with_data(data))
+        return new
 
     def obs_dim(self) -> int:
         return self.actor_spec.layer_sizes[0]
@@ -270,11 +300,23 @@ def act(ac: ActorCritic, obs: np.ndarray, rngs: list[np.random.Generator] | None
     return ac.head.mode(_actor_pass(ac, obs))
 
 
+def sampler(ac: ActorCritic):
+    """`sample(obs, rng)`: one action for one (obs_dim,) observation, equal
+    to `act(ac, obs[None], [rng])[0]`, for a rollout's step loop. The head's
+    per-rollout work (the Gaussian's std) is done here once; checking the
+    observation's shape is the caller's."""
+    layers, scale, draw = ac.actor_layers, ac.obs_scale, ac.head.sampler(ac.log_std)
+    return lambda obs, rng: draw(_finite(nn.forward_batch(layers, (obs * scale)[None])[0]), rng)
+
+
 def _actor_pass(ac: ActorCritic, obs) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim != 2 or obs.shape[1] != ac.obs_dim():
         raise ValueError(f"obs shape {obs.shape} does not match (E, {ac.obs_dim()})")
-    out = nn.forward_batch(ac.actor_layers, _features(ac, obs[:, None, :]))[:, 0]
+    return _finite(nn.forward_batch(ac.actor_layers, _features(ac, obs[:, None, :]))[:, 0])
+
+
+def _finite(out: np.ndarray) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericalError("actor network produced non-finite output")
     return out
@@ -310,7 +352,7 @@ def logp_batch(
     else:
         flat = np.asarray(policy_params, dtype=np.float64)
         layers, log_std = nn.layer_views(ac.actor_spec, flat), flat[ac.actor_spec.n_params : ac.n_policy]
-    logp, ent, _ = ac.head.logp(nn.forward_batch(layers, _features(ac, obs)), log_std, actions)
+    logp, ent, _ = ac.head.logp(nn.forward_batch(layers, _features(ac, obs)), log_std, actions, with_entropy)
     return (logp, ent) if with_entropy else logp
 
 
@@ -327,7 +369,7 @@ def policy_forward(ac: ActorCritic, x: np.ndarray, actions: np.ndarray):
     and `vjp(g_logp, g_ent, grad)`, writing the actor's and log_std's part of
     `grad`; a None upstream passes nothing."""
     hs = nn.forward_activations(ac.actor_layers, x)
-    logp, ent, head_vjp = ac.head.logp(hs[-1], ac.log_std, actions)
+    logp, ent, head_vjp = ac.head.logp(hs[-1], ac.log_std, actions, with_entropy=True)
 
     def vjp(g_logp, g_ent, grad: np.ndarray) -> None:
         g_out, g_log_std = head_vjp(g_logp, g_ent)

@@ -78,16 +78,19 @@ def collect(
         raise ValueError("n_steps must be >= 1")
     if obs is None:
         obs = env.reset()
+    if np.shape(obs) != (ac.obs_dim(),):  # once: an env's observations keep the shape of the first
+        raise ValueError(f"obs shape {np.shape(obs)} does not match ({ac.obs_dim()},)")
+    sample = pol.sampler(ac)
 
     obs_buf = np.empty((n_steps, env.observation_dim), dtype=np.float64)
-    taken = []  # each action as act returns it: a float64 (action_dim,) row or an int64
+    taken = []  # each action as sampled: a float64 (action_dim,) row or an int64
     rew_buf = np.empty(n_steps, dtype=np.float64)
     term_buf = np.zeros(n_steps, dtype=bool)
     trunc_buf = np.zeros(n_steps, dtype=bool)
     cut_off = []  # states where a time limit ended an episode, in step order
 
     for t in range(n_steps):
-        action = pol.act(ac, obs[None], [rng])[0]
+        action = sample(obs, rng)
         obs_buf[t] = obs
         taken.append(action.copy())  # an env may rewrite the action it is given
 

@@ -743,6 +743,34 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_network_too_large_to_allocate_is_a_one_line_error_and_a_rerun_starts(self, tmp_path, capsys,
+                                                                                 monkeypatch):
+        init_params = harness.nn.init_params
+
+        def allocate(spec, *args, **kwargs):  # nothing large is allocated: the sizes are refused first
+            if spec.n_params > 10**9:
+                raise MemoryError(f"Unable to allocate {spec.n_params * 8 / 2**30:.1f} GiB for an array")
+            return init_params(spec, *args, **kwargs)
+
+        monkeypatch.setattr(harness.nn, "init_params", allocate)
+        monkeypatch.setenv("POEMRL_RUN_HIDDEN_SIZES", "100000,100000")
+        monkeypatch.setenv("POEMRL_RUN_N_STEPS", "128")
+        out = tmp_path / "run"
+        argv = ["train", "--timesteps", "128", "--out", str(out)]
+        err = self._one_line_error(argv, capsys)
+        assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+        assert list(out.iterdir()) == []  # no config.ini, so the same out dir is not refused
+        monkeypatch.setenv("POEMRL_RUN_HIDDEN_SIZES", "8")
+        assert cli.main(argv) == 0
+        assert (out / "config.ini").exists() and (out / "checkpoint_final.bin").exists()
+
+    def test_memory_error_without_a_message_names_its_type(self, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_run_config", out_of_memory)
+        assert self._one_line_error(["train"], capsys) == "error: MemoryError\n"
+
     def test_cli_config_that_is_a_directory_is_a_one_line_error(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err

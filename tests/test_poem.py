@@ -437,6 +437,29 @@ class TestUpdateWork:
         assert passes["probe"] == [2, 2]
         assert passes["trigger"] == [1 + entropy_pass + per_candidate * k] * 2
 
+    @pytest.mark.parametrize("env_id", ["mountain_car_continuous", "sparse_lander"])
+    def test_entropy_is_computed_once_per_gradient_step_and_scored_candidate(self, monkeypatch, env_id):
+        # the d_post probe, the EMA pass and the rollout's pi_old pass read no entropy, so compute none
+        from poemrl import envs, harness, rollout
+        from poemrl.config import load_run_config
+
+        cfg = load_run_config(flag_overrides={("run", "env"): env_id}, environ={})
+        env = envs.make_env(env_id)
+        ac = harness.build_actor_critic(env, cfg.hidden_sizes, 0, cfg.log_std_init)
+        calls = []
+        for owner, name in ((pol, "categorical_entropy"), (pol.DiagGaussianHead, "entropy")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        batch, _ = rollout.collect(env, ac, cfg.n_steps, np.random.default_rng(0), env.reset(seed=1))
+        assert calls == []
+        batch = rollout.compute_gae(batch, cfg.ppo.gamma, cfg.ppo.lam)
+        _, _, _, diags = poem.poem_update(ac, poem.init_tracker(ac, cfg.poem.beta), batch, cfg.ppo, cfg.poem,
+                                          nn.init_adam(len(ac.params), lr=cfg.ppo.learning_rate),
+                                          np.random.default_rng(1), np.random.default_rng(2))
+        triggers = sum(dm.mutation_triggered for _, dm in diags)
+        assert cfg.ppo.alpha_ent == 0.0 and 0 < triggers < len(diags)  # the incumbent's entropy is not weighted
+        assert len(calls) == len(diags) + triggers * cfg.poem.n_candidates
+
     @staticmethod
     def tensors_made(monkeypatch, env_id, run) -> int:
         """Tensors that `run(ac, mb, ppo_cfg, lambda_div, ema_policy_params)`

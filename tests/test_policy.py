@@ -12,6 +12,7 @@ from scipy import stats
 
 from poemrl import nn, policy as pol
 from poemrl.autodiff import NumericalError
+from poemrl.nn import ParamVector
 from poemrl.policy import ActorCritic, Categorical, DiagGaussian, DiagGaussianHead
 
 from conftest import central_diff, make_categorical_ac, make_gaussian_ac, max_rel_err
@@ -309,6 +310,48 @@ class TestValue:
         ac = make_gaussian_ac(seed=8)
         obs = [0.2, -0.9]
         assert pol.value(ac, obs) == pol.value(ac, obs)
+
+
+class TestWithParams:
+    @staticmethod
+    def assert_views_read(ac: ActorCritic, data: np.ndarray) -> None:
+        """Every layer, log_std and critic view of `ac` reads `data` at its layout entry."""
+        views = [v for layer in ac.actor_layers for v in layer] + [ac.log_std] * bool(ac.head.n_log_std) + [
+            v for layer in ac.critic_layers for v in layer]
+        assert len(views) == len(ac.params.layout)
+        for view, e in zip(views, ac.params.layout):
+            assert np.shares_memory(view, data), e.name
+            assert np.array_equal(view, data[e.offset : e.offset + e.size].reshape(e.shape)), e.name
+
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_views_alias_the_new_vector(self, make, rng):
+        ac = make(seed=3, hidden=(4, 3))
+        data = rng.normal(size=len(ac.params))
+        new = ac.with_params(data)
+        assert new.params.data is data and new.obs_scale is ac.obs_scale
+        self.assert_views_read(new, data)
+        data[:] = rng.normal(size=data.size)  # a write into the vector shows through every view
+        self.assert_views_read(new, data)
+        obs = rng.normal(size=(5, 2))
+        actions = pol.act(new, obs, [np.random.default_rng(i) for i in range(5)])
+        built = ActorCritic(ac.actor_spec, ac.critic_spec, ac.head, ParamVector(data.copy(), ac.params.layout),
+                            ac.obs_scale)
+        assert np.array_equal(pol.logp_batch(new, obs, actions), pol.logp_batch(built, obs, actions))
+        assert np.array_equal(pol.values_batch(new, obs), pol.values_batch(built, obs))
+
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    def test_wrong_length_or_rank_is_refused_and_the_old_policy_is_unchanged(self, make):
+        ac = make(seed=4)
+        data, before = ac.params.data, ac.params.data.copy()
+        n = len(ac.params)
+        for bad, message in ((np.zeros(n - 1), "data has"), (np.zeros(n + 1), "data has"),
+                             (np.zeros((1, n)), "one-dimensional"), (np.zeros(()), "one-dimensional")):
+            with pytest.raises(ValueError, match=message):
+                ac.with_params(bad)
+        new = ac.with_params(np.zeros(n))
+        assert not np.array_equal(new.params.data, before)
+        assert ac.params.data is data and np.array_equal(data, before)
+        self.assert_views_read(ac, data)
 
 
 class TestBatchPaths:

@@ -8,6 +8,7 @@ from poemrl.envs import ContinuousSpace, StepResult, make_env
 from poemrl.rollout import RolloutBatch, collect, compute_gae
 
 from conftest import make_categorical_ac, make_gaussian_ac
+from row_sampler import one_row_distribution, sample_row
 
 
 class OneStepEnv:
@@ -127,7 +128,55 @@ def batch_from(rewards, values, terminated=None, truncated=None, bootstrap=0.0, 
     )
 
 
+def reference_collect(env, ac, n_steps, rng, obs):
+    """`collect`'s step loop, one row distribution and one draw per step:
+    the stored obs, actions, rewards and flags, and the obs to resume from."""
+    rows = []
+    for _ in range(n_steps):
+        action = sample_row(one_row_distribution(ac, obs), rng)
+        taken = np.copy(action)  # before the env sees it
+        result = env.step(action)
+        rows.append((obs, taken, result.reward, result.terminated, result.truncated))
+        obs = env.reset() if result.terminated or result.truncated else result.obs
+    return [np.array(column) for column in zip(*rows)], obs
+
+
+def collect_and_reference(new_env, ac, n_steps) -> RolloutBatch:
+    """Run `collect` and the reference loop from equal envs and generators,
+    check that they agree byte for byte, and return collect's batch."""
+    runs = []
+    for run in (collect, reference_collect):
+        env, rng = new_env(), np.random.default_rng(11)
+        out, obs = run(env, ac, n_steps, rng, env.reset(seed=9))
+        runs.append((out, obs, rng.bit_generator.state))
+    (batch, obs, state), (columns, ref_obs, ref_state) = runs
+    got = (batch.obs, batch.actions, batch.rewards, batch.terminated, batch.truncated)
+    for name, a, b in zip(("obs", "actions", "rewards", "terminated", "truncated"), got, columns):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert obs.tobytes() == ref_obs.tobytes()
+    assert state == ref_state
+    return batch
+
+
 class TestCollect:
+    @pytest.mark.parametrize("make", [make_gaussian_ac, make_categorical_ac], ids=["gaussian", "categorical"])
+    @pytest.mark.parametrize("n_steps", [1, 14, 18, 19, 40])
+    def test_matches_the_per_row_reference_loop(self, make, n_steps):
+        # episodes terminate at global steps 6 and 14 and are cut off every 4 steps
+        batch = collect_and_reference(lambda: CutOffEnv(limit=4, terminate_at=(6, 14)), make(seed=7), n_steps)
+        if n_steps >= 18:
+            assert batch.terminated.any() and (batch.truncated & ~batch.terminated).any()
+
+    @pytest.mark.parametrize("env_id", ["mountain_car_continuous", "sparse_lander"])
+    def test_matches_the_reference_loop_on_registered_envs(self, env_id):
+        collect_and_reference(lambda: make_env(env_id), harness.build_actor_critic(make_env(env_id), (8,), 2), 300)
+
+    @pytest.mark.parametrize("obs", [np.zeros(3), np.zeros((1, 2)), np.zeros(())], ids=["long", "2-D", "scalar"])
+    def test_initial_obs_of_the_wrong_shape_is_refused(self, obs):
+        for make in (make_gaussian_ac, make_categorical_ac):
+            with pytest.raises(ValueError, match="does not match"):
+                collect(DriftEnv(), make(), 4, np.random.default_rng(0), obs)
+
     def test_single_step_records_value(self):
         ac = make_gaussian_ac(seed=1)
         env = OneStepEnv()
