@@ -76,6 +76,7 @@ class RunConfig:
             raise ConfigError("checkpoint_every must be >= 0 (0 = final only)")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden_sizes must be positive integers")
+        _parse_str(self.out_dir, "run.out_dir")  # config.ini must be able to store it
         if self.algo == "ppo":
             # plain PPO never uses the diversity term or the mutation trigger
             object.__setattr__(self, "poem", replace(self.poem, lambda_div=0.0, delta=TRIGGER_OFF))

@@ -3,8 +3,10 @@
 Every run writes into its own output directory: a config snapshot that can
 re-run the experiment, per-minibatch metrics as CSV, periodic and final
 checkpoints, and (after evaluation) per-episode and per-step reward CSVs.
-Independent runs share no state, so seed sweeps execute in parallel worker
-processes.
+What a run carries from one update to the next is one `TrainState`, which
+`train_update` advances by one update; `train` loops over it and writes the
+files. Independent runs share no state, so seed sweeps execute in parallel
+worker processes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import nn, poem, ppo, rollout, stats
 from .autodiff import NumericalError
 from .config import ALGOS, TUNE_TRIAL_TIMESTEPS, RunConfig, TuneSpec, config_to_text
-from .envs import make_env
+from .envs import MountainCarContinuous, SparseLander, make_env
 from .policy import ActorCritic, CategoricalHead, DiagGaussianHead, head_for, param_layout
 from .stats import EvalReport
 
@@ -196,18 +198,57 @@ def _empty_out_dir(path: str | Path) -> Path:
     return out_dir
 
 
+@dataclass
+class TrainState:
+    """Everything an update reads and advances: the env and the obs to resume
+    from, the actor-critic, Adam's moments, the EMA θ̂ (kept but unread by PPO),
+    the run's generators and the updates done. The global step is `update * n_steps`."""
+
+    env: MountainCarContinuous | SparseLander
+    obs: np.ndarray
+    ac: ActorCritic
+    adam_state: nn.AdamState
+    tracker: poem.EmaTracker
+    streams: RunStreams
+    update: int = 0
+
+    @classmethod
+    def start(cls, config: RunConfig) -> TrainState:
+        streams = derive_streams(config.seed)
+        env = make_env(config.env_id)
+        obs = env.reset(seed=streams.env_seed)
+        ac = build_actor_critic(env, config.hidden_sizes, streams.param_seed, config.log_std_init)
+        return cls(env, obs, ac, nn.init_adam(len(ac.params), lr=config.ppo.learning_rate),
+                   poem.init_tracker(ac, config.poem.beta), streams)
+
+
+def train_update(state: TrainState, config: RunConfig) -> list[list]:
+    """Advance `state` in place by one update (a rollout, GAE, then POEM's or
+    PPO's minibatch loop) and return the update's `metrics.csv` rows."""
+    streams = state.streams
+    batch, state.obs = rollout.collect(state.env, state.ac, config.n_steps, streams.action_rng, state.obs)
+    batch = rollout.compute_gae(batch, config.ppo.gamma, config.ppo.lam)
+    if config.algo == "poem":
+        state.ac, state.tracker, state.adam_state, per_mb = poem.poem_update(
+            state.ac, state.tracker, batch, config.ppo, config.poem,
+            state.adam_state, streams.shuffle_rng, streams.mutation_rng,
+        )
+    else:
+        state.ac, state.adam_state, breakdowns = ppo.ppo_update(
+            state.ac, batch, config.ppo, state.adam_state, streams.shuffle_rng
+        )
+        per_mb = [(bd, None) for bd in breakdowns]
+    state.update += 1
+    return [_metrics_row(state.update, state.update * config.n_steps, k, bd, dm) for k, (bd, dm) in enumerate(per_mb)]
+
+
 def train(config: RunConfig) -> TrainResult:
     """Run one seeded training run to its timestep budget, persisting
     config snapshot, metrics CSV (each update's rows flushed as it ends),
     and checkpoints."""
     out_dir = _empty_out_dir(config.out_dir)
-    streams = derive_streams(config.seed)
-    env = make_env(config.env_id)
-    obs = env.reset(seed=streams.env_seed)
     # allocated before any file is written, so a network too large leaves the out dir empty
-    ac = build_actor_critic(env, config.hidden_sizes, streams.param_seed, config.log_std_init)
-    adam_state = nn.init_adam(len(ac.params), lr=config.ppo.learning_rate)
-    tracker = poem.init_tracker(ac, config.poem.beta)
+    state = TrainState.start(config)
 
     config_path = out_dir / "config.ini"
     with _atomic_open(config_path, "w", encoding="utf-8") as fh:
@@ -215,40 +256,25 @@ def train(config: RunConfig) -> TrainResult:
     metrics_path = out_dir / "metrics.csv"
     final_path = out_dir / "checkpoint_final.bin"
 
-    global_step = 0
-    update = 0
     failure: Exception | None = None
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:  # streamed: each update's rows, flushed
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         try:
-            while global_step < config.total_timesteps:
-                batch, obs = rollout.collect(env, ac, config.n_steps, streams.action_rng, obs)
-                batch = rollout.compute_gae(batch, config.ppo.gamma, config.ppo.lam)
-                if config.algo == "poem":
-                    ac, tracker, adam_state, per_mb = poem.poem_update(
-                        ac, tracker, batch, config.ppo, config.poem,
-                        adam_state, streams.shuffle_rng, streams.mutation_rng,
-                    )
-                else:
-                    ac, adam_state, breakdowns = ppo.ppo_update(
-                        ac, batch, config.ppo, adam_state, streams.shuffle_rng
-                    )
-                    per_mb = [(bd, None) for bd in breakdowns]
-                global_step += config.n_steps
-                update += 1
-                writer.writerows(_metrics_row(update, global_step, k, bd, dm) for k, (bd, dm) in enumerate(per_mb))
+            while state.update * config.n_steps < config.total_timesteps:
+                writer.writerows(train_update(state, config))
                 fh.flush()
-                if config.checkpoint_every and update % config.checkpoint_every == 0:
-                    save_checkpoint(out_dir / f"checkpoint_{update:05d}.bin", ac, config.env_id, config.algo)
+                if config.checkpoint_every and state.update % config.checkpoint_every == 0:
+                    save_checkpoint(out_dir / f"checkpoint_{state.update:05d}.bin", state.ac,
+                                    config.env_id, config.algo)
         except NumericalError as err:  # raised below and written to failure.txt as one text
-            failure = NumericalError(f"training stopped after update {update}: {err}")
+            failure = NumericalError(f"training stopped after update {state.update}: {err}")
 
-    save_checkpoint(final_path, ac, config.env_id, config.algo)
+    save_checkpoint(final_path, state.ac, config.env_id, config.algo)
     if failure is not None:
         (out_dir / "failure.txt").write_text(f"{failure}\n", encoding="utf-8")
         raise failure
-    return TrainResult(out_dir, final_path, metrics_path, config_path, update, ac)
+    return TrainResult(out_dir, final_path, metrics_path, config_path, state.update, state.ac)
 
 
 def _train_worker(config: RunConfig) -> TrainResult:
@@ -342,9 +368,11 @@ def _read_episode_csvs(run_set_dir: str | Path) -> dict[str, list[float]]:
                 if reader.fieldnames is None or not set(EPISODES_COLUMNS) <= set(reader.fieldnames):
                     raise ValueError(f"{path}: missing expected columns {EPISODES_COLUMNS}")
                 for row in reader:
-                    try:
+                    try:  # a short row has None values, and a long one a None key
+                        if None in row or None in row.values():
+                            raise ValueError
                         env, reward = row["env"], float(row["total_reward"])
-                    except (KeyError, TypeError, ValueError):
+                    except ValueError:
                         raise ValueError(f"{path}: ragged or malformed row {row!r}") from None
                     if not np.isfinite(reward):
                         raise ValueError(f"{path}: total_reward must be finite, got {row['total_reward']!r}")

@@ -337,23 +337,15 @@ def values_batch(ac: ActorCritic, obs: np.ndarray) -> np.ndarray:
     return nn.forward_batch(ac.critic_layers, _features(ac, obs))[:, 0]
 
 
-def logp_batch(
-    ac: ActorCritic,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    policy_params: np.ndarray | None = None,
-    with_entropy: bool = False,
-):
+def logp_batch(ac: ActorCritic, obs: np.ndarray, actions: np.ndarray, policy_params: np.ndarray | None = None):
     """log pi(a_i|s_i) for stored pairs, optionally under replacement policy
-    parameters (an array shaped like the actor+log_std slice). With
-    `with_entropy`, returns (log-probs, entropy_mean) from one actor pass."""
+    parameters (an array shaped like the actor+log_std slice)."""
     if policy_params is None:
         layers, log_std = ac.actor_layers, ac.log_std
     else:
         flat = np.asarray(policy_params, dtype=np.float64)
         layers, log_std = nn.layer_views(ac.actor_spec, flat), flat[ac.actor_spec.n_params : ac.n_policy]
-    logp, ent, _ = ac.head.logp(nn.forward_batch(layers, _features(ac, obs)), log_std, actions, with_entropy)
-    return (logp, ent) if with_entropy else logp
+    return ac.head.logp(nn.forward_batch(layers, _features(ac, obs)), log_std, actions)[0]
 
 
 def entropy_mean(ac: ActorCritic, obs: np.ndarray) -> float:

@@ -202,11 +202,11 @@ def evaluate_loss(
     loss on plain arrays, so the two agree bit for bit.
 
     `logp`, `ema_logp` and `values` stand in for the forward passes that
-    would compute them. The actor pass that computes `logp` also gives the
-    entropy; given `logp`, the entropy is computed only when alpha_ent
-    weights it, and reported as NaN otherwise."""
+    would compute them. Without `logp`, the actor pass is `loss_graph`'s,
+    which also gives the entropy; given `logp`, the entropy is computed only
+    when alpha_ent weights it, and reported as NaN otherwise."""
     if logp is None:
-        logp, ent = pol.logp_batch(ac, mb.obs, mb.actions, with_entropy=True)
+        logp, ent, _ = pol.policy_forward(ac, pol._features(ac, mb.obs), mb.actions)
     else:
         ent = pol.entropy_mean(ac, mb.obs) if cfg.alpha_ent != 0.0 else np.nan
     if values is None:

@@ -369,8 +369,8 @@ def test_categorical_nodes_on_tied_and_spread_rows(logits):
     w[:], b[:] = np.eye(k), 0.0
     actions = rng.integers(0, k, size=n)
     logp_t, ent_t = pol.policy_graph(ac, nn.make_leaves(ac.params), logits, actions)
-    logp, ent = pol.logp_batch(ac, logits, actions, with_entropy=True)
-    assert np.array_equal(logp, logp_t.data)
+    logp, ent, _ = pol.policy_forward(ac, pol._features(ac, logits), actions)
+    assert np.array_equal(logp, logp_t.data) and np.array_equal(logp, pol.logp_batch(ac, logits, actions))
     assert ent == pol.entropy_mean(ac, logits) == float(ent_t.data)
 
 

@@ -1,5 +1,6 @@
 """Config layering: defaults, file parsing, env-var and flag overrides."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,13 @@ class TestValidation:
     def test_text_that_config_ini_cannot_hold_is_an_error(self, raw):
         with pytest.raises(ConfigError, match="run.out_dir: expected one line"):
             load_run_config(flag_overrides={("run", "out_dir"): raw}, environ={})
+
+    @pytest.mark.parametrize("raw", ["runs/seed #3", "runs/a\nb", " runs/a", "runs/a "])
+    def test_config_built_in_python_refuses_an_out_dir_config_ini_cannot_hold(self, raw):
+        with pytest.raises(ConfigError, match="^run.out_dir: expected one line"):
+            RunConfig(out_dir=raw)
+        with pytest.raises(ConfigError, match="^run.out_dir: expected one line"):
+            replace(RunConfig(), out_dir=raw)
 
     def test_tune_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -11,6 +11,7 @@ import struct
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from copy import deepcopy
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -316,20 +317,27 @@ EPISODES_EDITS = st.one_of(
     st.tuples(st.just("field"), st.integers(0, 10), st.integers(0, 6),
               st.sampled_from(["<oversized>", "\0", "1\0", ""]) | st.text(max_size=8)),
     st.tuples(st.just("reward"), st.integers(0, 10), st.floats()),
+    st.tuples(st.just("reorder"), st.permutations(range(len(harness.EPISODES_COLUMNS)))),
 )
 
 
 def edited_episodes(raw: bytes, edits) -> bytes:
     """Apply each edit in turn: xor one byte with a mask, cut the file short,
     cut a row (the header is row 0) after some fields, set one field (to
-    131,073 characters for "<oversized>"), or set a row's total_reward to a
-    float's repr."""
+    131,073 characters for "<oversized>"), set a row's total_reward to a
+    float's repr, or put the first seven fields of every row, the header's
+    too, in one new order."""
     raw = bytearray(raw)
     for kind, *args in edits:
         if kind == "flip" and raw:
             raw[args[0] % len(raw)] ^= args[1]
         elif kind == "truncate":
             del raw[args[0] % (len(raw) + 1):]
+        elif kind == "reorder":
+            rows = [line.split(b",") for line in bytes(raw).split(b"\r\n")]
+            order = args[0]
+            raw = bytearray(b"\r\n".join(
+                b",".join([row[i] for i in order if i < len(row)] + row[len(order):]) for row in rows))
         elif kind in ("cut_row", "field", "reward"):
             lines = bytes(raw).split(b"\r\n")
             row = lines[args[0] % len(lines)].split(b",")
@@ -445,6 +453,24 @@ class TestTrain:
         assert rows[0] == harness.METRICS_COLUMNS and len(rows) == 1 + 2 * per_update
         assert [row[0] for row in rows[1:]] == ["1"] * per_update + ["2"] * per_update
         assert full.metrics_path.read_bytes().startswith(cut)
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize("env", sorted(ENV_REGISTRY))
+    def test_a_copied_state_continues_as_the_original(self, tmp_path, env, algo):
+        # the state holds all that an update reads: a deep copy taken after 2
+        # updates, advanced after the original, repeats the original's next 2
+        cfg = tiny_config(tmp_path, algo=algo, env=env, extra={("run", "total_timesteps"): "512"})
+        state = harness.TrainState.start(cfg)
+        rows = [row for _ in range(2) for row in harness.train_update(state, cfg)]
+        copied = deepcopy(state)
+        rows += [row for _ in range(2) for row in harness.train_update(state, cfg)]
+        copied_rows = [row for _ in range(2) for row in harness.train_update(copied, cfg)]
+        assert copied_rows == rows[len(rows) // 2:] and copied.update == state.update == 4
+        assert copied.ac.params.data.tobytes() == state.ac.params.data.tobytes()
+        # and train is these updates, written out
+        result = train(cfg)
+        assert result.metrics_path.read_text().splitlines()[1:] == [",".join(map(str, row)) for row in rows]
+        assert result.final_ac.params.data.tobytes() == state.ac.params.data.tobytes()
 
     def test_run_many_matches_sequential(self, tmp_path):
         cfgs = [tiny_config(tmp_path / "p", seed=s) for s in (1, 2)]
@@ -899,6 +925,18 @@ class TestCli:
         synthetic_run_set(set_b, "poem", "mars\nlander", [1.5])
         err = self._one_line_error(["compare", str(set_a), str(set_b)], capsys)
         assert err == "error: need at least 2 runs per side for env 'mars\\nlander'\n"
+
+    @pytest.mark.parametrize("row", ["2.0", "2.0,sparse_lander,poem,seed_1,4,104,10,11"], ids=["short", "long"])
+    def test_cli_compare_ragged_row_under_reordered_columns_is_a_one_line_error(self, tmp_path, capsys, row):
+        # with total_reward first, a short row still has a reward, and its env is missing
+        set_a, set_b = tmp_path / "a", tmp_path / "b"
+        synthetic_run_set(set_a, "ppo", "sparse_lander", [1.0, 2.0])
+        synthetic_run_set(set_b, "poem", "sparse_lander", [1.5, 2.5])
+        for run_set in (set_a, set_b):
+            (run_set / "seed_1" / "episodes.csv").write_bytes(
+                b"total_reward,env,algo,run_id,episode,seed,steps\r\n" + row.encode() + b"\r\n")
+        err = self._one_line_error(["compare", str(set_a), str(set_b)], capsys)
+        assert err.startswith(f"error: {set_a / 'seed_1' / 'episodes.csv'}: ragged or malformed row ")
 
     @pytest.mark.parametrize("env", sorted(TUNE_TRIAL_TIMESTEPS))
     def test_tune_budget_is_the_same_from_python_and_the_cli(self, tmp_path, monkeypatch, env):

@@ -393,9 +393,10 @@ class TestUpdateWork:
 
     @staticmethod
     def passes_per_call(monkeypatch):
-        """Count `nn.forward_batch` calls made inside each probe and trigger."""
+        """Count the network passes made inside each probe and trigger: calls
+        of `nn.forward_activations`, which `nn.forward_batch` runs too."""
         passes = {"total": 0, "probe": [], "trigger": []}
-        forward = nn.forward_batch
+        forward = nn.forward_activations
 
         def counted(*args):
             passes["total"] += 1
@@ -410,7 +411,7 @@ class TestUpdateWork:
 
             return wrapped
 
-        monkeypatch.setattr(nn, "forward_batch", counted)
+        monkeypatch.setattr(nn, "forward_activations", counted)
         monkeypatch.setattr(poem, "kl_divergence_mc", within("probe", poem.kl_divergence_mc))
         monkeypatch.setattr(poem, "mutate_and_select", within("trigger", poem.mutate_and_select))
         return passes
