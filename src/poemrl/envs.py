@@ -4,16 +4,19 @@ Both environments are stateful and single-threaded: reset(seed) seeds an
 internal generator, later reset() calls reuse it, and stepping a finished
 episode raises until the next reset.
 
-Each also steps E episodes at once: `state()` gives an env's state as a
-tuple of scalars, and the class's `step_arrays` takes those fields stacked
-into (E,) arrays, with one action row per episode, and returns what E
-scalar `step` calls would, bit for bit, as arrays.
+Each env states its rules (dynamics, reward, termination, truncation and
+info) once, in `_advance`, and has two entry points that run them: `step`
+on Python floats, and the class's `step_arrays` on E episodes at once, with
+`state()`'s fields stacked into (E,) arrays and one action row per episode.
+It returns what E scalar `step` calls would, bit for bit, as arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -57,6 +60,17 @@ class ArrayStep(NamedTuple):
     info: dict
 
 
+# The operations of the rules that differ between Python floats (`step`) and (E,)
+# arrays (`step_arrays`), alike bit for bit, NaN included; the rules write the rest
+# with operators both support. `take(table, a)`: action a's row, one item per column.
+_SCALAR = SimpleNamespace(minimum=min, maximum=max, cos=math.cos, abs=abs, any=bool,
+                          where=lambda cond, x, y: x if cond else y, take=operator.getitem,
+                          integers=lambda a: operator.index(a) if isinstance(a, (int, np.integer)) else None)
+_ARRAYS = SimpleNamespace(minimum=np.minimum, maximum=np.maximum, cos=np.cos, abs=np.abs, any=np.count_nonzero,
+                          where=np.where, take=lambda table, a: table[a].T,
+                          integers=lambda a: a if a.dtype.kind in "iu" else None)
+
+
 class MountainCarContinuous:
     """Underpowered car in a valley; continuous push in [-1, 1].
 
@@ -78,45 +92,51 @@ class MountainCarContinuous:
     # feature scaling for function approximators; position is already near unit range
     observation_scale = (1.0, 1.0 / MAX_SPEED)
 
-    def __init__(self):
-        self._rng = None
-        self._pos = 0.0
-        self._vel = 0.0
-        self._steps = 0
-        self._done = True
+    _rng, _done = None, True  # before the first reset
+    _pos = _vel = 0.0
+    _steps = 0
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         if self._rng is None:
             raise RuntimeError("first reset must provide a seed")
-        self._pos = self._rng.uniform(-0.6, -0.4)
-        self._vel = 0.0
-        self._steps = 0
+        self._pos, self._vel, self._steps = self._rng.uniform(-0.6, -0.4), 0.0, 0
         self._done = False
         return self._obs()
 
     def _obs(self) -> np.ndarray:
-        return np.array([self._pos, self._vel], dtype=np.float64)
+        return np.array(self._observe(*self.state()), dtype=np.float64)
+
+    @staticmethod
+    def _observe(pos, vel, steps) -> tuple:
+        """The observation's columns from `state()`'s fields."""
+        return pos, vel
+
+    @classmethod
+    def _advance(cls, ops, pos, vel, steps, a):
+        """One step under push `a` from (pos, vel, steps), floats or (E,) arrays:
+        the state after it, the reward, terminated, truncated and the info."""
+        a = ops.minimum(ops.maximum(a, -1.0), 1.0)
+        vel = vel + (a * cls.POWER - cls.GRAVITY_SCALE * ops.cos(3.0 * pos))
+        vel = ops.minimum(ops.maximum(vel, -cls.MAX_SPEED), cls.MAX_SPEED)
+        pos = ops.minimum(ops.maximum(pos + vel, cls.MIN_POSITION), cls.MAX_POSITION)
+        vel = ops.where((pos == cls.MIN_POSITION) & (vel < 0.0), 0.0, vel)
+        steps = steps + 1
+
+        terminated = pos >= cls.GOAL_POSITION
+        truncated = ops.where(terminated, False, steps >= cls.max_episode_steps)
+        reward = -0.1 * a * a + terminated * 100.0  # False * 100.0 adds 0.0
+        return (pos, vel, steps), reward, terminated, truncated, {"steps": steps}
 
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("episode finished; call reset()")
-        # min(max(x, lo), hi) keeps NaN as NaN, as np.clip does
-        a = min(max(float(np.asarray(action, dtype=np.float64).reshape(-1)[0]), -1.0), 1.0)
-        self._vel += a * self.POWER - self.GRAVITY_SCALE * math.cos(3.0 * self._pos)
-        self._vel = min(max(self._vel, -self.MAX_SPEED), self.MAX_SPEED)
-        self._pos += self._vel
-        self._pos = min(max(self._pos, self.MIN_POSITION), self.MAX_POSITION)
-        if self._pos == self.MIN_POSITION and self._vel < 0.0:
-            self._vel = 0.0
-        self._steps += 1
-
-        terminated = self._pos >= self.GOAL_POSITION
-        truncated = not terminated and self._steps >= self.max_episode_steps
-        reward = -0.1 * a * a + (100.0 if terminated else 0.0)
+        a = float(np.asarray(action, dtype=np.float64).reshape(-1)[0])
+        state, reward, terminated, truncated, info = self._advance(_SCALAR, *self.state(), a)
+        self._pos, self._vel, self._steps = state
         self._done = terminated or truncated
-        return StepResult(self._obs(), reward, terminated, truncated, {"steps": self._steps})
+        return StepResult(self._obs(), reward, terminated, truncated, info)
 
     def state(self) -> tuple:
         """(position, velocity, steps taken), the fields of `step_arrays`."""
@@ -126,22 +146,10 @@ class MountainCarContinuous:
     def step_arrays(cls, state: tuple, actions: np.ndarray) -> ArrayStep:
         """`step` for E live episodes: `actions` is a float64 (E, 1) array.
         An infinite 3 * position raises ValueError, as math.cos does in `step`."""
-        pos, vel, steps = state
-        angle = 3.0 * pos
-        if np.count_nonzero(np.isinf(angle)):
+        if np.count_nonzero(np.isinf(3.0 * state[0])):
             raise ValueError("math domain error")
-        # np.minimum(np.maximum(x, lo), hi) is min(max(x, lo), hi), NaN included
-        a = np.minimum(np.maximum(actions[:, 0], -1.0), 1.0)
-        vel = vel + (a * cls.POWER - cls.GRAVITY_SCALE * np.cos(angle))
-        vel = np.minimum(np.maximum(vel, -cls.MAX_SPEED), cls.MAX_SPEED)
-        pos = np.minimum(np.maximum(pos + vel, cls.MIN_POSITION), cls.MAX_POSITION)
-        vel = np.where((pos == cls.MIN_POSITION) & (vel < 0.0), 0.0, vel)
-        steps = steps + 1
-
-        terminated = pos >= cls.GOAL_POSITION
-        truncated = (steps >= cls.max_episode_steps) & ~terminated
-        reward = -0.1 * a * a + terminated * 100.0  # False * 100.0 is the 0.0 that step adds
-        return ArrayStep((pos, vel, steps), _rows(pos, vel), reward, terminated, truncated, {"steps": steps})
+        state, reward, terminated, truncated, info = cls._advance(_ARRAYS, *state, actions[:, 0])
+        return ArrayStep(state, _rows(*cls._observe(*state)), reward, terminated, truncated, info)
 
 
 class SparseLander:
@@ -170,77 +178,79 @@ class SparseLander:
     PAD_HALF_WIDTH = 0.5
     SAFE_SPEED = 1.0
     START_ALTITUDE = 10.0
-    # per action (noop, main, left, right): fuel burnt, acceleration with gravity, main-engine charge
-    FUEL_COST = (0.0, MAIN_FUEL, SIDE_FUEL, SIDE_FUEL)
-    ACCEL_X = (0.0, 0.0, -SIDE_ACCEL, SIDE_ACCEL)
-    ACCEL_Y = (-GRAVITY, -GRAVITY + MAIN_ACCEL, -GRAVITY, -GRAVITY)
-    MAIN_COST = (0.0, 0.03, 0.0, 0.0)
-    _ENGINES = np.array([FUEL_COST, ACCEL_X, ACCEL_Y, MAIN_COST])  # the table as rows, for step_arrays
+    # per action (noop, main, left, right): fuel burnt, x and y acceleration with gravity, reward charge
+    _ENGINE_ROWS = ((0.0, 0.0, -GRAVITY, 0.0),
+                    (MAIN_FUEL, 0.0, -GRAVITY + MAIN_ACCEL, 0.03),
+                    (SIDE_FUEL, -SIDE_ACCEL, -GRAVITY, 0.0),
+                    (SIDE_FUEL, SIDE_ACCEL, -GRAVITY, 0.0))
+    _ENGINES = np.array(_ENGINE_ROWS)  # the rows as one array, for step_arrays
 
-    def __init__(self):
-        self._rng = None
-        self._x = 0.0
-        self._y = 0.0
-        self._vx = 0.0
-        self._vy = 0.0
-        self._fuel = 0.0
-        self._steps = 0
-        self._done = True
+    _rng, _done = None, True  # before the first reset
+    _x = _y = _vx = _vy = _fuel = 0.0
+    _steps = 0
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         if self._rng is None:
             raise RuntimeError("first reset must provide a seed")
-        self._x = self._rng.uniform(-1.0, 1.0)
-        self._y = self.START_ALTITUDE
-        self._vx = self._rng.uniform(-0.5, 0.5)
-        self._vy = self._rng.uniform(-0.5, 0.0)
-        self._fuel = self.FUEL_INIT
-        self._steps = 0
+        rng = self._rng  # x, vx and vy are drawn in that order
+        self._x, self._vx, self._vy = rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.0)
+        self._y, self._fuel, self._steps = self.START_ALTITUDE, self.FUEL_INIT, 0
         self._done = False
         return self._obs()
 
     def _obs(self) -> np.ndarray:
-        return np.array(
-            [self._x, self._y, self._vx, self._vy, self._fuel / self.FUEL_INIT],
-            dtype=np.float64,
-        )
+        return np.array(self._observe(*self.state()), dtype=np.float64)
+
+    @classmethod
+    def _observe(cls, x, y, vx, vy, fuel, steps) -> tuple:
+        """The observation's columns from `state()`'s fields."""
+        return x, y, vx, vy, fuel / cls.FUEL_INIT
+
+    @classmethod
+    def _integer_actions(cls, ops, actions):
+        """`actions` as integers, or the `invalid action` ValueError unless each is one in [0, n)."""
+        a = ops.integers(actions)  # None for floats: they are refused, not rounded
+        invalid = a is None or (a < 0) | (a >= cls.action_space.n)
+        if ops.any(invalid):
+            raise ValueError(f"invalid action {np.ravel(actions)[np.flatnonzero(invalid)[0]]}")
+        return a
+
+    @classmethod
+    def _advance(cls, ops, engines, x, y, vx, vy, fuel, steps, action):
+        """As the car's `_advance`, under engine `action`; `engines` is the
+        engine table's rows, tuples for floats and one array for arrays."""
+        a = ops.where(fuel <= 0.0, 0, action)  # engines dead on an empty tank
+        fuel_cost, accel_x, accel_y, main_cost = ops.take(engines, a)
+        # x - 0.0 is x, -0.0 and NaN included, so a zero cost or charge changes nothing
+        burnt = fuel - fuel_cost
+        fuel = ops.where((burnt > 0.0) | (a == 0), burnt, 0.0)  # max(0.0, burnt) where an engine fired
+        # semi-implicit Euler: velocity first, then position
+        vx = vx + accel_x * cls.DT
+        vy = vy + accel_y * cls.DT
+        x = x + vx * cls.DT
+        y = y + vy * cls.DT
+        steps = steps + 1
+
+        abs_x, abs_vx, abs_vy = ops.abs(x), ops.abs(vx), ops.abs(vy)
+        reward = -0.3 * (abs_x + abs_vx + abs_vy) * cls.DT - main_cost
+        landed = y <= 0.0
+        terminated = landed | (abs_x > cls.X_LIMIT)
+        if ops.any(terminated):
+            safe = landed & (abs_x <= cls.PAD_HALF_WIDTH) & (abs_vy <= cls.SAFE_SPEED) & (abs_vx <= cls.SAFE_SPEED)
+            # r - (-100.0) is r + 100.0; subtracting 0.0 leaves a live row's -0.0 as it is
+            reward = reward - ops.where(terminated, ops.where(safe, -100.0, 100.0), 0.0)
+        truncated = ops.where(terminated, False, steps >= cls.max_episode_steps)
+        return (x, y, vx, vy, fuel, steps), reward, terminated, truncated, {"fuel": fuel, "steps": steps}
 
     def step(self, action) -> StepResult:
         if self._done:
             raise RuntimeError("episode finished; call reset()")
-        a = int(action)
-        if not 0 <= a < self.action_space.n:
-            raise ValueError(f"invalid action {a}")
-        if self._fuel <= 0.0:
-            a = 0  # engines dead
-        elif a:
-            self._fuel = max(0.0, self._fuel - self.FUEL_COST[a])
-
-        # semi-implicit Euler: velocity first, then position
-        self._vx += self.ACCEL_X[a] * self.DT
-        self._vy += self.ACCEL_Y[a] * self.DT
-        self._x += self._vx * self.DT
-        self._y += self._vy * self.DT
-        self._steps += 1
-
-        terminated = False
-        reward = -0.3 * (abs(self._x) + abs(self._vx) + abs(self._vy)) * self.DT - self.MAIN_COST[a]
-        if self._y <= 0.0:
-            terminated = True
-            safe = (
-                abs(self._x) <= self.PAD_HALF_WIDTH
-                and abs(self._vy) <= self.SAFE_SPEED
-                and abs(self._vx) <= self.SAFE_SPEED
-            )
-            reward += 100.0 if safe else -100.0
-        elif abs(self._x) > self.X_LIMIT:
-            terminated = True
-            reward += -100.0
-        truncated = not terminated and self._steps >= self.max_episode_steps
+        a = self._integer_actions(_SCALAR, action)
+        state, reward, terminated, truncated, info = self._advance(_SCALAR, self._ENGINE_ROWS, *self.state(), a)
+        self._x, self._y, self._vx, self._vy, self._fuel, self._steps = state
         self._done = terminated or truncated
-        info = {"fuel": self._fuel, "steps": self._steps}
         return StepResult(self._obs(), reward, terminated, truncated, info)
 
     def state(self) -> tuple:
@@ -250,34 +260,9 @@ class SparseLander:
     @classmethod
     def step_arrays(cls, state: tuple, actions: np.ndarray) -> ArrayStep:
         """`step` for E live episodes: `actions` is an integer (E,) array."""
-        x, y, vx, vy, fuel, steps = state
-        invalid = (actions < 0) | (actions >= cls.action_space.n)
-        if np.count_nonzero(invalid):
-            raise ValueError(f"invalid action {actions[invalid][0]}")
-        a = np.where(fuel <= 0.0, 0, actions)  # engines dead on an empty tank
-
-        fuel_cost, accel_x, accel_y, main_cost = cls._ENGINES[:, a]
-        # x - 0.0 is x, -0.0 and NaN included, so a zero cost or charge changes nothing
-        burnt = fuel - fuel_cost
-        fuel = np.where((burnt > 0.0) | (a == 0), burnt, 0.0)  # max(0.0, burnt) where an engine fired
-        vx = vx + accel_x * cls.DT
-        vy = vy + accel_y * cls.DT
-        x = x + vx * cls.DT
-        y = y + vy * cls.DT
-        steps = steps + 1
-
-        abs_x, abs_vx, abs_vy = np.abs(x), np.abs(vx), np.abs(vy)
-        reward = -0.3 * (abs_x + abs_vx + abs_vy) * cls.DT - main_cost
-        landed = y <= 0.0
-        terminated = landed | (abs_x > cls.X_LIMIT)
-        if np.count_nonzero(terminated):
-            safe = landed & (abs_x <= cls.PAD_HALF_WIDTH) & (abs_vy <= cls.SAFE_SPEED) & (abs_vx <= cls.SAFE_SPEED)
-            # r - (-100.0) is r + 100.0; subtracting 0.0 leaves a live row's -0.0 as it is
-            reward = reward - np.where(terminated, np.where(safe, -100.0, 100.0), 0.0)
-        truncated = (steps >= cls.max_episode_steps) & ~terminated
-        obs = _rows(x, y, vx, vy, fuel / cls.FUEL_INIT)
-        return ArrayStep((x, y, vx, vy, fuel, steps), obs, reward, terminated, truncated,
-                         {"fuel": fuel, "steps": steps})
+        a = cls._integer_actions(_ARRAYS, actions)
+        state, reward, terminated, truncated, info = cls._advance(_ARRAYS, cls._ENGINES, *state, a)
+        return ArrayStep(state, _rows(*cls._observe(*state)), reward, terminated, truncated, info)
 
 
 def _rows(*columns: np.ndarray) -> np.ndarray:

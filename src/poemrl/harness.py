@@ -467,8 +467,12 @@ def _sample_trial_config(base: RunConfig, spec: TuneSpec, rng: np.random.Generat
         poem=new_poem,
         total_timesteps=max(spec.trial_timesteps, base.n_steps),
         checkpoint_every=0,
-        out_dir=str(out_root / f"trial_{trial:03d}"),
+        out_dir=_trial_dir(out_root, trial),
     )
+
+
+def _trial_dir(out_root: Path, trial: int) -> str:
+    return str(out_root / f"trial_{trial:03d}")
 
 
 @dataclass
@@ -488,6 +492,8 @@ def tune(spec: TuneSpec, base_config: RunConfig, out_dir: str | Path) -> TuneRes
     """
     if spec.trial_timesteps is None:
         spec = replace(spec, trial_timesteps=TUNE_TRIAL_TIMESTEPS[base_config.env_id])
+    # each trial's config.ini must hold its out dir: one that cannot is refused before anything is made
+    replace(base_config, out_dir=_trial_dir(Path(out_dir), 0))
     out_root = _empty_out_dir(out_dir)
     rng = np.random.default_rng(spec.seed)
     eval_seed_base = 900_000 + spec.seed

@@ -191,8 +191,9 @@ class TestSparseLander:
     def test_invalid_action_rejected(self):
         env = SparseLander()
         env.reset(seed=0)
-        with pytest.raises(ValueError):
-            env.step(4)
+        for action in (4, 2.9):  # a float is refused, not rounded to an engine
+            with pytest.raises(ValueError, match="invalid action"):
+                env.step(action)
 
     def test_fuel_monotone_and_engines_die_empty(self, rng):
         env = SparseLander()
@@ -264,6 +265,13 @@ class TestSparseLander:
         r = env.step(0)
         assert r.terminated and r.reward < -99.0  # drifted out of bounds
 
+    def test_touchdown_on_the_time_limit_step_is_terminated_not_truncated(self):
+        env = SparseLander()
+        env.reset(seed=0)
+        env._y, env._vy, env._steps = 0.001, -0.5, env.max_episode_steps - 1
+        r = env.step(0)
+        assert (r.terminated, r.truncated, r.info["steps"]) == (True, False, env.max_episode_steps)
+
     def test_main_engine_shaping_cost(self):
         env = SparseLander()
         env.reset(seed=2)
@@ -322,6 +330,74 @@ class TestSparseLander:
         assert r.terminated
         with pytest.raises(RuntimeError):
             env.step(0)
+
+
+class TestRuleEdges:
+    """Each comparison in the rules, hit exactly. `step` and `step_arrays`
+    run the same rules, so comparing them cannot see an edge moved in both."""
+
+    def test_car_reaches_the_goal_exactly(self):
+        env = MountainCarContinuous()
+        env.reset(seed=0)
+        env._pos, env._vel = 0.38, 0.1  # the speed clips to 0.07, and 0.38 + 0.07 == 0.45
+        assert env.step([0.0]).terminated and env._pos == env.GOAL_POSITION
+
+    # a noop step from (x, y, vx, vy), then the field that lands on its edge
+    @pytest.mark.parametrize("x, y, vx, vy, field, edge", [
+        (0.5, 0.01, 0.0, -0.5, "_x", 0.5),  # on the pad's edge
+        (0.0, 0.01, 1.0, -0.5, "_vx", 1.0),  # at the safe sideways speed
+        (0.0, 0.01, 0.0, -0.51, "_vy", -1.0),  # -0.51 - 9.8 * 0.05: the safe falling speed
+        (0.0, -((-0.5 - 9.8 * 0.05) * 0.05), 0.0, -0.5, "_y", 0.0),  # on the ground
+    ], ids=["pad-edge", "vx-edge", "vy-edge", "ground"])
+    def test_safe_touchdown_on_an_edge(self, x, y, vx, vy, field, edge):
+        env = SparseLander()
+        env.reset(seed=0)
+        env._x, env._y, env._vx, env._vy = x, y, vx, vy
+        r = env.step(0)
+        assert getattr(env, field) == edge
+        assert r.terminated and r.reward > 99.0
+
+    def test_on_the_side_limit_is_live(self):
+        env = SparseLander()
+        env.reset(seed=0)
+        env._x, env._y, env._vx, env._vy = env.X_LIMIT, 5.0, 0.0, 0.0
+        r = env.step(0)
+        assert env._x == env.X_LIMIT and not r.terminated
+
+
+class TestScalarStepTypes:
+    """`step` runs the rules on Python floats: a numpy scalar leaking into
+    them would slow `collect` and pass the array comparisons unseen."""
+
+    @staticmethod
+    def assert_python_scalars(r, info_types):
+        assert type(r.reward) is float
+        assert type(r.terminated) is bool and type(r.truncated) is bool
+        assert {key: type(value) for key, value in r.info.items()} == info_types
+
+    def run_episode(self, env, act, info_types):
+        while True:
+            r = env.step(act())
+            self.assert_python_scalars(r, info_types)
+            if r.terminated or r.truncated:
+                return r
+
+    def test_mountain_car(self, rng):
+        env = MountainCarContinuous()
+        env.reset(seed=0)
+        types = {"steps": int}
+        assert self.run_episode(env, lambda: rng.uniform(-0.2, 0.2, size=1), types).truncated
+        env.reset()  # push along the velocity: momentum reaches the goal
+        assert self.run_episode(env, lambda: np.array([1.0 if env._vel >= 0.0 else -1.0]), types).terminated
+
+    def test_lander(self, rng):
+        env = SparseLander()
+        env.reset(seed=0)
+        types = {"fuel": float, "steps": int}
+        assert self.run_episode(env, lambda: rng.integers(0, 4), types).terminated  # an np.int64, as sampled
+        env.reset()
+        env._steps, env._fuel = env.max_episode_steps - 5, 2.0  # the tank runs dry, then the time limit
+        assert self.run_episode(env, lambda: 1, types).truncated
 
 
 # ---- array step: step_arrays must equal E scalar steps, bit for bit --------
@@ -452,7 +528,10 @@ class TestArrayStep:
         # one invalid action fails the whole array step, as it fails step
         (lander, [((0.0, 5.0, 0.0, 0.0, 600.0, 0), 1), ((0.0, 5.0, 0.0, 0.0, 0.0, 0), 4)]),
         (lander, [((0.0, 5.0, 0.0, 0.0, 600.0, 0), -1)]),
-    ], ids=["car-goal-at-limit", "car-infinite-position", "lander-edges", "lander-invalid", "lander-negative"])
+        # a float action is refused by both steps, not rounded or used as an index
+        (lander, [((0.0, 5.0, 0.0, 0.0, 600.0, 0), 1), ((0.0, 5.0, 0.0, 0.0, 600.0, 0), 1.7)]),
+    ], ids=["car-goal-at-limit", "car-infinite-position", "lander-edges", "lander-invalid", "lander-negative",
+            "lander-float"])
     def test_edge_rows(self, env_cls, rows):
         states, actions = zip(*rows)
         assert_array_step_matches_scalar(env_cls, states, actions)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poemrl import cli, harness, stats
-from poemrl.config import ALGOS, TUNE_TRIAL_TIMESTEPS, TuneSpec, load_run_config
+from poemrl.config import ALGOS, TUNE_TRIAL_TIMESTEPS, ConfigError, TuneSpec, load_run_config
 from poemrl.envs import ENV_REGISTRY, make_env
 from poemrl.harness import compare, derive_streams, evaluate, load_checkpoint, save_checkpoint, train
 from poemrl.policy import ActorCritic, CategoricalHead, DiagGaussianHead
@@ -352,10 +352,31 @@ def edited_episodes(raw: bytes, edits) -> bytes:
     return bytes(raw)
 
 
+def reward_first_ragged_row(files):
+    """In one of `files`: every row's columns reordered with total_reward
+    before env, then one data row cut after some fields."""
+    reward, env = harness.EPISODES_COLUMNS.index("total_reward"), harness.EPISODES_COLUMNS.index("env")
+    orders = st.permutations(range(len(harness.EPISODES_COLUMNS))).filter(lambda o: o.index(reward) < o.index(env))
+    return st.tuples(st.sampled_from(files), orders, st.integers(1, 4), st.integers(0, 6)).map(
+        lambda t: [(t[0], ("reorder", t[1])), (t[0], ("cut_row", t[2], t[3]))])
+
+
 class TestCompareFuzz:
     @settings(max_examples=100, deadline=None, derandomize=True)  # the same 100 run sets on every run
     @given(edits=st.lists(st.tuples(st.integers(0, 3), EPISODES_EDITS), min_size=1, max_size=3))
     def test_edited_episodes_compare_or_are_one_error_line(self, edits):
+        self.assert_table_or_one_error_line(edits)
+
+    # a short row with total_reward first still has its reward but no env; with
+    # one in each run set, the missing env gets past the check that both sets
+    # hold the same envs and reaches the sort of their names
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(edits=st.tuples(reward_first_ragged_row([0, 1]), reward_first_ragged_row([2, 3])))
+    def test_ragged_rows_under_reordered_columns_are_one_error_line(self, edits):
+        self.assert_table_or_one_error_line(edits[0] + edits[1])
+
+    @staticmethod
+    def assert_table_or_one_error_line(edits):
         with tempfile.TemporaryDirectory() as tmp:
             sets = (Path(tmp) / "ppo", Path(tmp) / "poem")
             synthetic_run_set(sets[0], "ppo", "sparse_lander", [1.0, 2.0])
@@ -661,6 +682,12 @@ class TestTune:
         result = harness.tune(spec, base, tmp_path / "tune")
         assert result.best_config.ppo == base.ppo
         assert result.best_config.poem == base.poem
+
+    def test_out_dir_config_ini_cannot_hold_is_refused_before_anything_is_made(self, tmp_path):
+        spec = TuneSpec(n_trials=1, trial_timesteps=512)
+        with pytest.raises(ConfigError, match="run.out_dir"):
+            harness.tune(spec, tiny_config(tmp_path, algo="ppo"), tmp_path / "tu #1")
+        assert not (tmp_path / "tu #1").exists()
 
     def test_fixed_master_seed_identical_trials(self, tmp_path):
         base = tiny_config(tmp_path, algo="poem", seed=7)
